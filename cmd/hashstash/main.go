@@ -36,22 +36,17 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := []hashstash.Option{
+	db := hashstash.Open(
 		hashstash.WithTuning(hashstash.Tuning{
 			CacheBudget:    *budget,
 			ColdTierBudget: *cold,
 			Parallelism:    *parallel,
+			Shards:         *shards,
 		}),
 		hashstash.WithAblations(hashstash.Ablations{LRUEviction: *lru}),
-	}
-	if *shards > 1 {
-		opts = append(opts,
-			hashstash.WithTuning(hashstash.Tuning{Shards: *shards}),
-			hashstash.WithPartitionKey("customer", "c_custkey"),
-			hashstash.WithPartitionKey("orders", "o_custkey"),
-			hashstash.WithPartitionKey("lineitem", "l_orderkey"))
-	}
-	db := hashstash.Open(opts...)
+		hashstash.WithPartitionKey("customer", "c_custkey"),
+		hashstash.WithPartitionKey("orders", "o_custkey"),
+		hashstash.WithPartitionKey("lineitem", "l_orderkey"))
 	fmt.Printf("loading TPC-H SF=%.3f... ", *sf)
 	start := time.Now()
 	if err := db.LoadTPCH(*sf); err != nil {

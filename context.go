@@ -26,7 +26,7 @@ type BatchResult = shared.BatchResult
 // are *hashstasherr.ParseError, unresolvable references wrap
 // hashstasherr.ErrUnknownTable / ErrUnknownColumn.
 func (db *DB) Parse(sql string) (*Query, error) {
-	return sqlparser.Parse(sql, db.cat)
+	return sqlparser.Parse(sql, db.eng.Shard(0).Cat)
 }
 
 // ExecContext parses and runs one SQL query under a context:
@@ -69,8 +69,8 @@ func (db *DB) ExecBatchContext(ctx context.Context, sqls []string) ([]*Result, e
 
 // ExecParsedBatch runs a batch of already-parsed queries through the
 // query-batch interface, returning per-query results plus the merge
-// configuration. On engines without shared plans (the baselines, the
-// sharded router) every query runs solo and the groups are singletons.
+// configuration. Without shared plans (the baselines, more than one
+// shard) every query runs solo and the groups are singletons.
 func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResult, error) {
 	if !db.SupportsSharedPlans() {
 		out := &BatchResult{Results: make([]*Result, len(queries)), Groups: make([][]int, len(queries))}
@@ -88,10 +88,10 @@ func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResu
 }
 
 // SupportsSharedPlans reports whether ExecParsedBatch can merge
-// mergeable queries into shared plans (the HashStash engine without
-// sharding; the baselines and the sharded router run query-at-a-time).
+// mergeable queries into shared plans (the HashStash engine on one
+// shard; the baselines and multi-shard DBs run query-at-a-time).
 func (db *DB) SupportsSharedPlans() bool {
-	return db.engine == EngineHashStash && db.router == nil
+	return db.engine == EngineHashStash && db.eng.Shards() == 1
 }
 
 // BatchShape classifies a query for shared-plan admission: queries
@@ -106,10 +106,13 @@ func BatchShape(q *Query) (shape string, ok bool) {
 // and returns the optimizer's cost estimate in model nanoseconds
 // without executing. Serving admission uses it to judge whether a
 // query fits inside a deadline.
+//
+// With more than one shard the estimate is shard 0's.
 func (db *DB) EstimateCost(q *Query) (float64, error) {
-	reader := db.cache.EnterReader()
+	s0 := db.eng.Shard(0)
+	reader := s0.Cache.EnterReader()
 	defer reader.Exit()
-	p, err := db.opt.PlanQuery(q)
+	p, err := s0.Opt.PlanQuery(q)
 	if err != nil {
 		return 0, err
 	}
@@ -153,8 +156,5 @@ func (db *DB) runContext(ctx context.Context, q *plan.Query) (res *Result, err e
 		defer db.matMu.RUnlock()
 		return db.mat.RunContext(ctx, q)
 	}
-	if db.router != nil {
-		return db.router.RunContext(ctx, q)
-	}
-	return db.opt.RunContext(ctx, q)
+	return db.eng.RunContext(ctx, q)
 }

@@ -203,22 +203,6 @@ func TestSessionPreparedCache(t *testing.T) {
 	}
 }
 
-// TestTuningMatchesDeprecatedOptions: the grouped options configure
-// the engine identically to the per-knob wrappers they replace.
-func TestTuningMatchesDeprecatedOptions(t *testing.T) {
-	grouped := openTPCH(t,
-		WithTuning(Tuning{CacheBudget: 1 << 20, Parallelism: 1, MorselRows: 512}),
-		WithAblations(Ablations{NoPartialReuse: true, NoWorkStealing: true}))
-	legacy := openTPCH(t,
-		WithCacheBudget(1<<20), WithParallelism(1), WithMorselRows(512),
-		WithoutPartialReuse(), WithoutWorkStealing())
-	wantG := canonical(mustExec(t, grouped, q3SQL))
-	wantL := canonical(mustExec(t, legacy, q3SQL))
-	if fmt.Sprint(wantG) != fmt.Sprint(wantL) {
-		t.Fatal("grouped vs legacy options diverged")
-	}
-}
-
 func mustExec(t *testing.T, db *DB, sql string) *Result {
 	t.Helper()
 	res, err := db.Exec(sql)

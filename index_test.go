@@ -2,6 +2,7 @@ package hashstash
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"hashstash/internal/types"
@@ -48,7 +49,7 @@ var rangeShapes = []string{
 // return exactly the rows a pure scan returns.
 func TestIndexRangeMatchesScan(t *testing.T) {
 	indexed := openTPCH(t)
-	scan := openTPCH(t, WithoutSecondaryIndexes())
+	scan := openTPCH(t, WithAblations(Ablations{NoSecondaryIndexes: true}))
 
 	runs := warmIndex(t, indexed, rangeShapes[0])
 	t.Logf("index built after %d runs", runs)
@@ -110,21 +111,21 @@ func TestCostModelFlipsAccessPath(t *testing.T) {
 // TestWithoutSecondaryIndexes checks the ablation knob: no builds, no
 // probes, ever.
 func TestWithoutSecondaryIndexes(t *testing.T) {
-	db := openTPCH(t, WithoutSecondaryIndexes())
+	db := openTPCH(t, WithAblations(Ablations{NoSecondaryIndexes: true}))
 	for i := 0; i < 40; i++ {
 		if _, err := db.Exec(rangeShapes[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := db.CacheStats().Index; st.Builds != 0 || st.RangeProbes != 0 {
-		t.Errorf("index activity under WithoutSecondaryIndexes: %+v", st)
+		t.Errorf("index activity under NoSecondaryIndexes: %+v", st)
 	}
 }
 
 // TestIndexBuildBudget checks that a budget too small for any tree
 // suppresses builds entirely.
 func TestIndexBuildBudget(t *testing.T) {
-	db := openTPCH(t, WithIndexBuildBudget(1))
+	db := openTPCH(t, WithTuning(Tuning{IndexBuildBudget: 1}))
 	for i := 0; i < 40; i++ {
 		if _, err := db.Exec(rangeShapes[0]); err != nil {
 			t.Fatal(err)
@@ -175,12 +176,48 @@ func TestInsertInvalidatesIndexes(t *testing.T) {
 	}
 }
 
+// TestInsertKeepsStorageIndexes: a row appended to orders shows up in a
+// date-range SUM that the storage index on o_orderdate serves, whether
+// orders is whole on one shard, replicated over two or partitioned over
+// two.
+func TestInsertKeepsStorageIndexes(t *testing.T) {
+	const sumSQL = `SELECT SUM(o.o_totalprice) AS total FROM orders o
+		WHERE o.o_orderdate >= DATE '1995-01-01' AND o.o_orderdate < DATE '1996-01-01'`
+	row := []Value{
+		types.NewInt(1 << 40), types.NewInt(1), types.NewDate(types.MustParseDate("1995-06-01")),
+		types.NewFloat(1000), types.NewInt(0), types.NewString("O"),
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"unsharded", nil},
+		{"replicated", []Option{WithTuning(Tuning{Shards: 2})}},
+		{"partitioned", []Option{WithTuning(Tuning{Shards: 2}), WithPartitionKey("orders", "o_custkey")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := Open(tc.opts...)
+			if err := db.LoadTPCH(0.001); err != nil {
+				t.Fatal(err)
+			}
+			before := mustExec(t, db, sumSQL).Rows[0][0].F
+			if err := db.InsertRows("orders", [][]Value{row}); err != nil {
+				t.Fatal(err)
+			}
+			after := mustExec(t, db, sumSQL).Rows[0][0].F
+			if got := after - before; math.Abs(got-1000) > 1e-9*after {
+				t.Fatalf("SUM grew by %v after appending a 1000 order, want 1000", got)
+			}
+		})
+	}
+}
+
 // TestOrderByLimit checks top-k queries on both access paths: the
 // bounded index-order scan (cached index on the order column) and the
 // sort+truncate fallback must return identical rows in identical order.
 func TestOrderByLimit(t *testing.T) {
 	indexed := openTPCH(t)
-	fallback := openTPCH(t, WithoutSecondaryIndexes())
+	fallback := openTPCH(t, WithAblations(Ablations{NoSecondaryIndexes: true}))
 
 	// Warm a l_extendedprice index so the fast path is available.
 	warm := `SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
@@ -247,7 +284,7 @@ func TestOrderByLimitBatch(t *testing.T) {
 // the sort+truncate fallback — on every engine.
 func TestOrderByLimitFallback(t *testing.T) {
 	for _, engine := range []Engine{EngineHashStash, EngineMaterialized, EngineNoReuse} {
-		db := openTPCH(t, WithEngine(engine), WithoutSecondaryIndexes())
+		db := openTPCH(t, WithEngine(engine), WithAblations(Ablations{NoSecondaryIndexes: true}))
 		res, err := db.Exec(`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
 		    WHERE l.l_shipdate >= DATE '1995-03-01'
 		    ORDER BY l.l_extendedprice DESC LIMIT 5`)

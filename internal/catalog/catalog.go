@@ -36,18 +36,16 @@ type TableStats struct {
 // registers (and later unregisters) query-lifetime temporary tables
 // concurrently with planning, so the registry takes a read-write lock.
 type Catalog struct {
-	mu       sync.RWMutex
-	tables   map[string]*storage.Table
-	stats    map[string]*TableStats
-	partKeys map[string]string
+	mu     sync.RWMutex
+	tables map[string]*storage.Table
+	stats  map[string]*TableStats
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
 	return &Catalog{
-		tables:   make(map[string]*storage.Table),
-		stats:    make(map[string]*TableStats),
-		partKeys: make(map[string]string),
+		tables: make(map[string]*storage.Table),
+		stats:  make(map[string]*TableStats),
 	}
 }
 
@@ -66,27 +64,7 @@ func (c *Catalog) Unregister(name string) {
 	c.mu.Lock()
 	delete(c.tables, name)
 	delete(c.stats, name)
-	delete(c.partKeys, name)
 	c.mu.Unlock()
-}
-
-// DeclarePartitionKey records that the named table is hash-partitioned
-// by the given column in this catalog's shard layout. Declaration is
-// metadata only; the sharding layer performs the physical split.
-func (c *Catalog) DeclarePartitionKey(table, column string) {
-	c.mu.Lock()
-	c.partKeys[table] = column
-	c.mu.Unlock()
-}
-
-// PartitionKey returns the declared partition-key column of a table and
-// whether the table is partitioned at all (undeclared tables are
-// replicated across shards).
-func (c *Catalog) PartitionKey(table string) (string, bool) {
-	c.mu.RLock()
-	col, ok := c.partKeys[table]
-	c.mu.RUnlock()
-	return col, ok
 }
 
 // Table returns the named base table, or nil.

@@ -338,10 +338,8 @@ type Cache struct {
 	quarantines   int64
 	pressureEvict int64
 
-	// Bucket-maintenance policy (SetRehash) and accumulated counters.
-	rehashOff    bool
-	rehashBudget int
-	maint        hashtable.MaintStats
+	// Accumulated bucket-maintenance counters.
+	maint hashtable.MaintStats
 	// probeAcc accumulates the probe counters of tables leaving the
 	// live sets (reclaimed snapshots, evicted entries) so Stats stays
 	// monotonic across publications.
@@ -647,18 +645,6 @@ func (c *Cache) InvalidateTable(table string) int {
 	return dropped
 }
 
-// SetRehash configures incremental bucket maintenance of widened
-// tables: whether PublishWidened piggy-backs a maintenance pass on the
-// successor before freezing it, and the per-pass node budget (<= 0 uses
-// hashtable.DefaultRehashBudget). On by default. Callers configure this
-// once at startup, before queries run.
-func (c *Cache) SetRehash(enabled bool, budget int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rehashOff = !enabled
-	c.rehashBudget = budget
-}
-
 // PublishWidened installs a widened successor of prev as the entry's
 // current snapshot. ht is frozen here; filter is the new content
 // description (the widened lineage). The install is a compare-and-swap:
@@ -685,11 +671,8 @@ func (c *Cache) PublishWidened(e *Entry, prev *Snapshot, ht *hashtable.Table, fi
 		c.mu.Unlock()
 		return false
 	}
-	c.mu.RLock()
-	rehash, budget := !c.rehashOff, c.rehashBudget
-	c.mu.RUnlock()
-	if rehash && !ht.Frozen() {
-		ht.Maintain(budget)
+	if !ht.Frozen() {
+		ht.Maintain(0)
 	}
 	ht.Freeze()
 	next := &Snapshot{HT: ht, Filter: filter, Version: prev.Version + 1}

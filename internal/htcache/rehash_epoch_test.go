@@ -34,7 +34,6 @@ func TestBucketRehashInvisibleToEpochReaders(t *testing.T) {
 		root.SetCell(e, 1, 0)
 	}
 	c := New(0)
-	c.SetRehash(true, 1<<20)
 	lin := Lineage{
 		Kind:    Aggregate,
 		Tables:  []string{"t"},

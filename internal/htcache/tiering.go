@@ -51,7 +51,7 @@ const (
 	// PolicyBenefit evicts the lowest benefit density first (default).
 	PolicyBenefit Policy = iota
 	// PolicyLRU is the seed behavior — evict the least recently used —
-	// kept as the ablation baseline (WithLRUEviction). The cold tier is
+	// kept as the ablation baseline (Ablations.LRUEviction). The cold tier is
 	// disabled under it.
 	PolicyLRU
 )

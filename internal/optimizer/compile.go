@@ -264,7 +264,7 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 		// Widen the snapshot into a private copy-on-write successor: the
 		// residual scan builds the missing tuples into it while other
 		// queries keep probing the frozen base it shares.
-		ht = choice.Snap.HT.WidenWith(c.o.WidenOptions())
+		ht = choice.Snap.HT.Widen()
 		if c.register {
 			c.o.Cache.Pin(choice.Entry)
 			c.o.Cache.Credit(choice.Entry, choice.SavedCost)
@@ -527,7 +527,7 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 		// whole table stays consistent with its (widened) lineage.
 		// Existing groups shadow-promote into the successor's own arena;
 		// concurrent probes of the frozen base never see the folds.
-		widened := choice.Snap.HT.WidenWith(c.o.WidenOptions())
+		widened := choice.Snap.HT.Widen()
 		for _, rr := range agg.ResidualRoots {
 			if err := c.attachAggInput(rr, widened, agg.GroupBase, choice.Entry.Lineage.Aggs); err != nil {
 				return err

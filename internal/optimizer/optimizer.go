@@ -31,7 +31,6 @@ import (
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/expr"
-	"hashstash/internal/hashtable"
 	"hashstash/internal/htcache"
 	"hashstash/internal/memgov"
 	"hashstash/internal/plan"
@@ -86,19 +85,6 @@ type Options struct {
 	// MorselRows overrides the morsel granularity (<= 0 uses
 	// storage.DefaultMorselRows).
 	MorselRows int
-	// SerialPipelines disables inter-pipeline parallelism (the
-	// scheduler runs pipelines in strict compile order); ablation knob.
-	SerialPipelines bool
-	// NoSteal disables work stealing between worker deques; ablation
-	// knob.
-	NoSteal bool
-	// NoBucketRehash disables incremental bucket maintenance of widened
-	// tables, falling back to the all-or-nothing compaction clone at
-	// the segment-depth bound; ablation knob.
-	NoBucketRehash bool
-	// RehashBudget caps chain nodes walked per bucket-maintenance pass
-	// (<= 0 uses hashtable.DefaultRehashBudget).
-	RehashBudget int
 	// NoSecondaryIndexes disables the ordered secondary-index access
 	// path entirely: no lazy index builds, no cached-index scans;
 	// ablation knob.
@@ -164,13 +150,6 @@ func New(cat *catalog.Catalog, cache *htcache.Cache, model *costmodel.Model, opt
 		history:    make(map[string]int64),
 		idxBenefit: make(map[string]float64),
 	}
-}
-
-// WidenOptions translates the ablation knobs into the hashtable
-// maintenance policy every copy-on-write widening uses (compile-time
-// widening here, batch-local re-tag copies in the shared planner).
-func (o *Optimizer) WidenOptions() hashtable.WidenOptions {
-	return hashtable.WidenOptions{Rehash: !o.Opts.NoBucketRehash, Budget: o.Opts.RehashBudget}
 }
 
 // ReuseMode labels how a hash table is obtained for an operator.

@@ -27,6 +27,12 @@ func TestErrorTaxonomy(t *testing.T) {
 	// Real errors from real boundaries.
 	_, parseErr := db.Parse("SELEC broken FROM")
 	unknownTblErr := db.InsertRows("nowhere", nil)
+	sharded := hashstash.Open(hashstash.WithTuning(hashstash.Tuning{Shards: 2}),
+		hashstash.WithPartitionKey("orders", "o_custkey"))
+	if err := sharded.LoadTPCH(0.001); err != nil {
+		t.Fatal(err)
+	}
+	shardedTblErr := sharded.InsertRows("nowhere", nil)
 	_, unknownColErr := db.Parse("SELECT nope FROM customer")
 	canceledCtx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -45,6 +51,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	}{
 		{"parse", parseErr, nil, http.StatusBadRequest, false},
 		{"unknown-table", unknownTblErr, hashstasherr.ErrUnknownTable, http.StatusBadRequest, false},
+		{"unknown-table-sharded", shardedTblErr, hashstasherr.ErrUnknownTable, http.StatusBadRequest, false},
 		{"unknown-column", unknownColErr, hashstasherr.ErrUnknownColumn, http.StatusBadRequest, false},
 		{"canceled", cancelErr, hashstasherr.ErrCanceled, http.StatusRequestTimeout, false},
 		{"internal", internalErr, hashstasherr.ErrInternal, http.StatusInternalServerError, false},

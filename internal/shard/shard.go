@@ -1,5 +1,7 @@
-// Package shard scales the engine out across N hash-partitioned
-// shards. Each shard is a self-contained slice of the system — its own
+// Package shard scales the engine out across N >= 1 hash-partitioned
+// shards. Every DB runs on an Engine; an unsharded DB is the N = 1
+// case, where routing returns shard 0 before any analysis and no table
+// is split. Each shard is a self-contained slice of the system — its own
 // catalog fragment, its own hash-table/index cache with benefit
 // accounting, its own optimizer (reuse history, ski-rental index
 // accumulator) and its own worker deques in the scheduler — so the
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"hashstash/hashstasherr"
 	"hashstash/internal/catalog"
 	"hashstash/internal/costmodel"
 	"hashstash/internal/exec"
@@ -84,9 +87,6 @@ func (e *Engine) Shard(s int) *Shard { return e.shards[s] }
 // Repartition.
 func (e *Engine) DeclarePartitionKey(table, column string) {
 	e.keys[table] = column
-	for _, s := range e.shards {
-		s.Cat.DeclarePartitionKey(table, column)
-	}
 }
 
 // PartitionKey returns the declared partition key of a table.
@@ -106,7 +106,6 @@ func (e *Engine) LoadTable(t *storage.Table) error {
 		}
 		for s, sh := range e.shards {
 			sh.Cat.Register(frags[s])
-			sh.Cat.DeclarePartitionKey(t.Name, key)
 		}
 		return nil
 	}
@@ -126,7 +125,7 @@ func (e *Engine) Repartition(table, column string) error {
 		return err
 	}
 	if full.Column(column) == nil {
-		return fmt.Errorf("shard: table %q has no partition-key column %q", table, column)
+		return fmt.Errorf("shard: table %q: %w %q", table, hashstasherr.ErrUnknownColumn, column)
 	}
 	e.DeclarePartitionKey(table, column)
 	if err := e.LoadTable(full); err != nil {
@@ -143,7 +142,7 @@ func (e *Engine) Repartition(table, column string) error {
 func (e *Engine) GatherTable(table string) (*storage.Table, error) {
 	t0 := e.shards[0].Cat.Table(table)
 	if t0 == nil {
-		return nil, fmt.Errorf("shard: unknown table %q", table)
+		return nil, fmt.Errorf("shard: %w %q", hashstasherr.ErrUnknownTable, table)
 	}
 	if _, ok := e.keys[table]; !ok {
 		return t0, nil
@@ -159,45 +158,49 @@ func (e *Engine) GatherTable(table string) (*storage.Table, error) {
 }
 
 // InsertRows appends rows to a table, routing each row to its hash
-// shard for partitioned tables. Only the shards whose fragments
-// actually received rows have their statistics refreshed and their
-// cached artifacts over the table invalidated — an insert that lands
-// on two shards leaves the other shards' hash tables and indexes warm.
+// shard for partitioned tables; storage indexes absorb the new rows
+// (storage.Table.AppendRows). Only the shards whose fragments actually
+// received rows have their statistics refreshed and their cached
+// artifacts over the table invalidated — an insert that lands on two
+// shards leaves the other shards' hash tables and indexes warm. A
+// malformed row rejects the whole batch before any shard changes.
 func (e *Engine) InsertRows(table string, rows [][]types.Value) error {
+	t0 := e.shards[0].Cat.Table(table)
+	if t0 == nil {
+		return fmt.Errorf("shard: %w %q", hashstasherr.ErrUnknownTable, table)
+	}
 	key, partitioned := e.keys[table]
 	if !partitioned {
-		t := e.shards[0].Cat.Table(table)
-		if t == nil {
-			return fmt.Errorf("shard: unknown table %q", table)
-		}
-		for _, row := range rows {
-			t.AppendRow(row...)
+		if err := t0.AppendRows(rows); err != nil {
+			return err
 		}
 		for _, sh := range e.shards {
-			sh.Cat.Register(t) // recompute statistics
+			sh.Cat.Register(t0) // recompute statistics
 			sh.Cache.InvalidateTable(table)
 		}
 		return nil
 	}
-	t0 := e.shards[0].Cat.Table(table)
-	if t0 == nil {
-		return fmt.Errorf("shard: unknown table %q", table)
+	if err := t0.CheckRows(rows); err != nil {
+		return err
 	}
 	ki := t0.ColumnIndex(key)
 	if ki < 0 {
 		return fmt.Errorf("shard: table %q lost its partition-key column %q", table, key)
 	}
-	touched := make([]bool, len(e.shards))
+	routed := make([][][]types.Value, len(e.shards))
 	for _, row := range rows {
 		s := storage.ShardOf(row[ki], len(e.shards))
-		e.shards[s].Cat.Table(table).AppendRow(row...)
-		touched[s] = true
+		routed[s] = append(routed[s], row)
 	}
 	for s, sh := range e.shards {
-		if !touched[s] {
+		if len(routed[s]) == 0 {
 			continue
 		}
-		sh.Cat.Register(sh.Cat.Table(table))
+		frag := sh.Cat.Table(table)
+		if err := frag.AppendRows(routed[s]); err != nil {
+			return err
+		}
+		sh.Cat.Register(frag)
 		sh.Cache.InvalidateTable(table)
 	}
 	return nil
@@ -209,14 +212,14 @@ func (e *Engine) BuildIndex(table, column string) error {
 	if _, partitioned := e.keys[table]; !partitioned {
 		t := e.shards[0].Cat.Table(table)
 		if t == nil {
-			return fmt.Errorf("shard: unknown table %q", table)
+			return fmt.Errorf("shard: %w %q", hashstasherr.ErrUnknownTable, table)
 		}
 		return t.BuildIndexOn(column)
 	}
 	for _, sh := range e.shards {
 		t := sh.Cat.Table(table)
 		if t == nil {
-			return fmt.Errorf("shard: unknown table %q", table)
+			return fmt.Errorf("shard: %w %q", hashstasherr.ErrUnknownTable, table)
 		}
 		if err := t.BuildIndexOn(column); err != nil {
 			return err

@@ -92,11 +92,9 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 	// once their grouping table's build finishes.
 	t0 := time.Now()
 	runErr := exec.RunParallel(g.pipelines, exec.Parallelism{
-		Workers:         s.Single.Opts.Parallelism,
-		MorselRows:      s.Single.Opts.MorselRows,
-		SerialPipelines: s.Single.Opts.SerialPipelines,
-		NoSteal:         s.Single.Opts.NoSteal,
-		Ctx:             ctx,
+		Workers:    s.Single.Opts.Parallelism,
+		MorselRows: s.Single.Opts.MorselRows,
+		Ctx:        ctx,
 	})
 	elapsed := time.Since(t0)
 	if runErr != nil {
@@ -343,7 +341,7 @@ func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []i
 		// Re-tag a private widened copy: the qid masks of this batch are
 		// batch-local, so the published snapshot stays untouched (and the
 		// copy is simply dropped after the batch — no publication).
-		widened := snap.HT.WidenWith(g.s.Single.WidenOptions())
+		widened := snap.HT.Widen()
 		if err := exec.ReTag(widened, cand.Lineage.QidCol, relBoxes); err != nil {
 			continue
 		}

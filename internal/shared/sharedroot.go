@@ -269,7 +269,7 @@ func (g *groupExec) tryReuseGrouping(ag *aggGroup) bool {
 		// Re-tag a private widened copy (batch-local qid masks install
 		// as an overlay); the published snapshot stays untouched and the
 		// copy is dropped after the batch.
-		widened := snap.HT.WidenWith(g.s.Single.WidenOptions())
+		widened := snap.HT.Widen()
 		if err := exec.ReTag(widened, cand.Lineage.QidCol, boxes); err != nil {
 			continue
 		}

@@ -44,9 +44,15 @@ func (c *Column) Len() int {
 	return 0
 }
 
+// accepts reports whether a value of v's kind can be appended (dates
+// also take plain integers).
+func (c *Column) accepts(v types.Value) bool {
+	return v.Kind == c.Kind || (c.Kind == types.Date && v.Kind == types.Int64)
+}
+
 // Append adds one value; its kind must match the column kind.
 func (c *Column) Append(v types.Value) {
-	if v.Kind != c.Kind && !(c.Kind == types.Date && v.Kind == types.Int64) {
+	if !c.accepts(v) {
 		panic(fmt.Sprintf("storage: append %v value to %v column %q", v.Kind, c.Kind, c.Name))
 	}
 	switch c.Kind {
@@ -120,6 +126,30 @@ func SortedPerm(col *Column) []int32 {
 	}
 	sort.SliceStable(perm, func(a, b int) bool { return col.less(perm[a], perm[b]) })
 	return perm
+}
+
+// mergePerm extends perm — the SortedPerm of the column's first
+// len(perm) rows — to every row of the column. The appended row ids are
+// stable-sorted among themselves, and each is placed after the old ids
+// whose keys are not greater than its own: old ids are smaller, so on
+// ties they come first, which is SortedPerm's order. The result equals
+// SortedPerm(col) at O(k log n) comparisons plus one copy of perm for k
+// appended rows, instead of a full re-sort. It allocates a fresh slice
+// and never writes perm.
+func mergePerm(col *Column, perm []int32) []int32 {
+	added := make([]int32, col.Len()-len(perm))
+	for i := range added {
+		added[i] = int32(len(perm) + i)
+	}
+	sort.SliceStable(added, func(a, b int) bool { return col.less(added[a], added[b]) })
+	out := make([]int32, 0, col.Len())
+	rest := perm
+	for _, id := range added {
+		i := sort.Search(len(rest), func(i int) bool { return col.less(id, rest[i]) })
+		out = append(append(out, rest[:i]...), id)
+		rest = rest[i:]
+	}
+	return append(out, rest...)
 }
 
 // Index is a sorted secondary index: Perm lists all row ids of the table

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -209,6 +210,74 @@ func TestIndexPermIsSorted(t *testing.T) {
 	})
 	if !sorted {
 		t.Error("index permutation is not sorted by value")
+	}
+}
+
+// Property: after random batches of appends — with many duplicate
+// keys, so ties are common — every index AppendRows maintains equals a
+// freshly built one, and the permutations it replaced stay untouched.
+func TestAppendRowsMergesIndexesProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tbl := NewTable("t", NewColumn("a", types.Int64), NewColumn("s", types.String), NewColumn("f", types.Float64))
+		row := func() []types.Value {
+			return []types.Value{
+				types.NewInt(int64(r.Intn(8))),
+				types.NewString(string(rune('a' + r.Intn(4)))),
+				types.NewFloat(float64(r.Intn(5)) / 2),
+			}
+		}
+		for i := r.Intn(50); i > 0; i-- {
+			tbl.AppendRow(row()...)
+		}
+		for _, c := range tbl.Cols {
+			if err := tbl.BuildIndexOn(c.Name); err != nil {
+				return false
+			}
+		}
+		for round := 0; round < 5; round++ {
+			prev, saved := map[string][]int32{}, map[string][]int32{}
+			for _, c := range tbl.Cols {
+				prev[c.Name] = tbl.IndexOn(c.Name).Perm
+				saved[c.Name] = slices.Clone(prev[c.Name])
+			}
+			batch := make([][]types.Value, r.Intn(20))
+			for i := range batch {
+				batch[i] = row()
+			}
+			if err := tbl.AppendRows(batch); err != nil {
+				return false
+			}
+			for _, c := range tbl.Cols {
+				if !slices.Equal(prev[c.Name], saved[c.Name]) || !slices.Equal(tbl.IndexOn(c.Name).Perm, SortedPerm(c)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAppendRowsRejectsMalformedBatch(t *testing.T) {
+	tbl := NewTable("t", NewColumn("a", types.Int64), NewColumn("d", types.Date))
+	good := []types.Value{types.NewInt(1), types.NewInt(2)} // int into date is allowed
+	for _, bad := range [][]types.Value{
+		{types.NewInt(1)},
+		{types.NewString("x"), types.NewDate(2)},
+	} {
+		if err := tbl.AppendRows([][]types.Value{good, bad}); err == nil {
+			t.Errorf("batch with %v accepted", bad)
+		}
+	}
+	if tbl.NumRows() != 0 {
+		t.Fatalf("rejected batches left %d rows", tbl.NumRows())
+	}
+	if err := tbl.AppendRows([][]types.Value{good}); err != nil || tbl.NumRows() != 1 {
+		t.Fatalf("good batch: err %v, %d rows", err, tbl.NumRows())
 	}
 }
 

@@ -69,6 +69,41 @@ func (t *Table) AppendRow(vals ...types.Value) {
 	}
 }
 
+// CheckRows validates a batch of rows (values in column order) against
+// the table's schema: every row must have one value per column, of the
+// column's kind.
+func (t *Table) CheckRows(rows [][]types.Value) error {
+	for r, row := range rows {
+		if len(row) != len(t.Cols) {
+			return fmt.Errorf("storage: table %q row %d has %d values for %d columns", t.Name, r, len(row), len(t.Cols))
+		}
+		for i, v := range row {
+			if !t.Cols[i].accepts(v) {
+				return fmt.Errorf("storage: table %q row %d: %v value for %v column %q", t.Name, r, v.Kind, t.Cols[i].Kind, t.Cols[i].Name)
+			}
+		}
+	}
+	return nil
+}
+
+// AppendRows appends a batch of rows (values in column order) and keeps
+// every secondary index in step: each index gets a fresh permutation
+// with the new row ids merged in (see mergePerm), so readers holding
+// the previous Index are unaffected. A row that fails CheckRows rejects
+// the whole batch before anything is appended.
+func (t *Table) AppendRows(rows [][]types.Value) error {
+	if err := t.CheckRows(rows); err != nil || len(rows) == 0 {
+		return err
+	}
+	for _, row := range rows {
+		t.AppendRow(row...)
+	}
+	for name, ix := range t.indexes {
+		t.indexes[name] = &Index{Col: ix.Col, Perm: mergePerm(ix.Col, ix.Perm)}
+	}
+	return nil
+}
+
 // Check validates that all columns have equal length.
 func (t *Table) Check() error {
 	n := t.NumRows()

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"hashstash/internal/expr"
 	"hashstash/internal/plan"
@@ -402,43 +403,87 @@ func (st *state) query() *plan.Query {
 	return q
 }
 
-// SQL renders a step as executable SQL text.
+// SQL renders a step as executable SQL text: its joins, every
+// predicate of its filter box, and its grouping, ordering and limit.
 func (s Step) SQL() string {
 	q := s.Query
-	sql := "SELECT "
-	for i, g := range q.Select {
-		if i > 0 {
-			sql += ", "
-		}
-		sql += g.String()
+	items := make([]string, 0, len(q.Select)+len(q.Aggs))
+	for _, c := range q.Select {
+		items = append(items, c.String())
 	}
 	for _, a := range q.Aggs {
-		sql += ", " + a.String()
+		items = append(items, a.String())
 	}
-	sql += " FROM "
+	rels := make([]string, len(q.Relations))
 	for i, rel := range q.Relations {
-		if i > 0 {
-			sql += ", "
-		}
-		sql += rel.Table + " " + rel.Alias
+		rels[i] = rel.Table + " " + rel.Alias
 	}
-	sql += " WHERE "
-	for i, j := range q.Joins {
-		if i > 0 {
-			sql += " AND "
-		}
-		sql += j.String()
+	sql := "SELECT " + strings.Join(items, ", ") + " FROM " + strings.Join(rels, ", ")
+	var conj []string
+	for _, j := range q.Joins {
+		conj = append(conj, j.String())
 	}
-	sql += fmt.Sprintf(" AND l.l_shipdate >= DATE '%s' AND l.l_shipdate < DATE '%s'",
-		types.FormatDate(s.Lo), types.FormatDate(s.Hi))
-	sql += " GROUP BY "
-	for i, g := range q.GroupBy {
-		if i > 0 {
-			sql += ", "
+	for _, p := range q.Filter {
+		conj = append(conj, predSQL(p)...)
+	}
+	if len(conj) > 0 {
+		sql += " WHERE " + strings.Join(conj, " AND ")
+	}
+	if len(q.GroupBy) > 0 {
+		groups := make([]string, len(q.GroupBy))
+		for i, g := range q.GroupBy {
+			groups[i] = g.String()
 		}
-		sql += g.String()
+		sql += " GROUP BY " + strings.Join(groups, ", ")
+	}
+	if q.OrderBy != nil {
+		sql += " ORDER BY " + q.OrderBy.Col.String()
+		if q.OrderBy.Desc {
+			sql += " DESC"
+		}
+	}
+	if q.Limit > 0 {
+		sql += fmt.Sprintf(" LIMIT %d", q.Limit)
 	}
 	return sql
+}
+
+// predSQL renders one column constraint as conjuncts: an IN list for a
+// string set, else one comparison per interval bound.
+func predSQL(p expr.Pred) []string {
+	col := p.Col.String()
+	if p.Con.Kind == types.String {
+		lits := make([]string, len(p.Con.Set))
+		for i, v := range p.Con.Set {
+			lits[i] = "'" + v + "'"
+		}
+		return []string{col + " IN (" + strings.Join(lits, ", ") + ")"}
+	}
+	iv := p.Con.Iv
+	var out []string
+	if iv.HasLo {
+		op := " > "
+		if iv.LoIncl {
+			op = " >= "
+		}
+		out = append(out, col+op+literalSQL(iv.Lo))
+	}
+	if iv.HasHi {
+		op := " < "
+		if iv.HiIncl {
+			op = " <= "
+		}
+		out = append(out, col+op+literalSQL(iv.Hi))
+	}
+	return out
+}
+
+// literalSQL renders a numeric or date bound as a SQL literal.
+func literalSQL(v types.Value) string {
+	if v.Kind == types.Date {
+		return "DATE '" + types.FormatDate(v.I) + "'"
+	}
+	return v.String()
 }
 
 // MeasureOverlap reports the average window-overlap fraction between

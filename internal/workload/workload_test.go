@@ -1,10 +1,18 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"hashstash/internal/catalog"
+	"hashstash/internal/htcache"
+	"hashstash/internal/optimizer"
+	"hashstash/internal/plan"
+	"hashstash/internal/sqlparser"
 	"hashstash/internal/tpch"
+	"hashstash/internal/types"
 )
 
 func TestGenerateShape(t *testing.T) {
@@ -95,12 +103,63 @@ func TestInteractionMixIncludesDrill(t *testing.T) {
 	}
 }
 
+// TestStepSQLRendersAndParses: every generator's SQL text parses
+// against a TPC-H catalog into the step's own filter box, and answers
+// exactly what the logical query answers.
 func TestStepSQLRendersAndParses(t *testing.T) {
-	steps := Generate(Config{Level: Medium, N: 8})
-	for _, s := range steps {
-		sql := s.SQL()
-		if len(sql) == 0 {
-			t.Fatal("empty SQL")
+	db, err := tpch.Generate(tpch.Config{SF: 0.001, SkipIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	for _, tbl := range db.Tables() {
+		cat.Register(tbl)
+	}
+	opts := optimizer.DefaultOptions()
+	opts.Strategy = optimizer.NeverReuse
+	opts.Parallelism = 1
+	opt := optimizer.New(cat, htcache.New(0), nil, opts)
+	answer := func(q *plan.Query) []string {
+		t.Helper()
+		res, err := opt.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Float sums depend on join order, which the optimizer's history
+		// tie-break may change between runs: compare to 10 digits.
+		out := make([]string, len(res.Rows))
+		for i, row := range res.Rows {
+			for _, v := range row {
+				if v.Kind == types.Float64 {
+					out[i] += fmt.Sprintf("%.10g|", v.F)
+				} else {
+					out[i] += v.String() + "|"
+				}
+			}
+		}
+		if q.OrderBy == nil {
+			sort.Strings(out)
+		}
+		return out
+	}
+	for name, steps := range map[string][]Step{
+		"explore":     Generate(Config{Level: Medium, N: 16}),
+		"skewed":      GenerateSkewed(SkewConfig{N: 16, Seed: 5}),
+		"partitioned": GeneratePartitioned(PartitionedConfig{N: 16, CrossShardFrac: 0.5, Seed: 5}),
+		"range":       GenerateRange(RangeConfig{N: 8, TopK: 5}),
+	} {
+		for i, s := range steps {
+			sql := s.SQL()
+			q, err := sqlparser.Parse(sql, cat)
+			if err != nil {
+				t.Fatalf("%s step %d: %v\n%s", name, i, err, sql)
+			}
+			if got, want := q.Filter.String(), s.Query.Filter.String(); got != want {
+				t.Fatalf("%s step %d: filter %s, want %s", name, i, got, want)
+			}
+			if got, want := answer(q), answer(s.Query); !slices.Equal(got, want) {
+				t.Fatalf("%s step %d: answer differs from the logical query\n%s", name, i, sql)
+			}
 		}
 	}
 }

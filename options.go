@@ -1,10 +1,9 @@
 package hashstash
 
-// Grouped configuration. The 20+ single-purpose With* options grew one
-// per PR; new code configures Open with two structs — Tuning (capacity
-// and execution sizing) and Ablations (paper-experiment feature
-// switches) — and the old options remain as thin deprecated wrappers.
-// See ARCHITECTURE.md for the migration table.
+// Grouped configuration. Open takes two structs — Tuning (capacity and
+// execution sizing) and Ablations (paper-experiment feature switches) —
+// plus the mode and data declarations WithStrategy, WithEngine,
+// WithCalibration and WithPartitionKey.
 
 // Tuning groups the capacity and execution-sizing knobs. Zero values
 // leave the engine defaults untouched, so partial literals compose:
@@ -27,11 +26,16 @@ type Tuning struct {
 	Parallelism int
 	// MorselRows overrides the morsel granularity (0 = storage default).
 	MorselRows int
-	// RehashBudget caps chain nodes per bucket-maintenance pass (0 =
-	// hashtable default).
-	RehashBudget int
-	// Shards partitions the engine into n locality domains (<= 1 keeps
-	// the single-domain engine).
+	// Shards partitions the engine into n locality domains (<= 1 runs
+	// one shard). Each shard owns a catalog fragment, its own cache
+	// (byte budgets are split across shards) and its own share of the
+	// worker pool. Tables with a declared partition key
+	// (WithPartitionKey / PartitionTable) split into per-shard
+	// fragments by key hash; undeclared tables replicate. Queries whose
+	// partition-key equality constraints pin every partitioned relation
+	// to one shard run on that shard alone; everything else executes
+	// scatter-gather. Sharding applies to EngineHashStash; the
+	// baseline engines ignore it.
 	Shards int
 	// SoftMemoryLimit is the memory governor's soft watermark (bytes):
 	// above it the engine sheds cache, vetoes new index builds and the
@@ -62,9 +66,6 @@ func WithTuning(t Tuning) Option {
 		if t.MorselRows != 0 {
 			c.morselRows = t.MorselRows
 		}
-		if t.RehashBudget != 0 {
-			c.rehashBudget = t.RehashBudget
-		}
 		if t.Shards != 0 {
 			c.shards = t.Shards
 		}
@@ -91,14 +92,6 @@ type Ablations struct {
 	NoPartialReuse bool
 	// NoOverlappingReuse disables overlapping reuse.
 	NoOverlappingReuse bool
-	// NoInterPipelineParallelism restricts the scheduler to one
-	// pipeline at a time in compile order.
-	NoInterPipelineParallelism bool
-	// NoWorkStealing pins each worker to its seeded morsel partition.
-	NoWorkStealing bool
-	// NoBucketRehash disables incremental bucket maintenance of widened
-	// cached tables.
-	NoBucketRehash bool
 	// NoSecondaryIndexes disables the ordered secondary-index access
 	// path.
 	NoSecondaryIndexes bool
@@ -127,15 +120,6 @@ func WithAblations(a Ablations) Option {
 		}
 		if a.NoOverlappingReuse {
 			c.overlapping = false
-		}
-		if a.NoInterPipelineParallelism {
-			c.serialPipelines = true
-		}
-		if a.NoWorkStealing {
-			c.noSteal = true
-		}
-		if a.NoBucketRehash {
-			c.noBucketRehash = true
 		}
 		if a.NoSecondaryIndexes {
 			c.noSecondaryIdx = true
