@@ -49,52 +49,58 @@ func Ablation(env *Env, n int) (*AblationResult, error) {
 		{"full HashStash", optimizer.Options{Strategy: optimizer.CostModel, BenefitOriented: true, EnablePartial: true, EnableOverlapping: true, NoSecondaryIndexes: true}},
 	}
 	out := &AblationResult{SF: env.SF, N: n}
-	var baseline time.Duration
-	var workingSet int64
+	names := make([]string, len(configs))
 	for i, cfg := range configs {
-		opt := optimizer.New(env.Cat, htcache.New(0), nil, cfg.opts)
-		t, err := runTrace(opt.Run, steps)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %q: %w", cfg.name, err)
-		}
-		row := AblationRow{Name: cfg.name, Time: t, HitRatio: opt.Cache.Stats().HitRatio}
-		if i == 0 {
-			baseline = t
-		}
-		if i == len(configs)-1 {
-			workingSet = opt.Cache.TotalBytes()
-		}
-		row.Speedup = speedupPct(baseline, t)
-		out.Rows = append(out.Rows, row)
+		names[i] = cfg.name
 	}
+	opts := make([]*optimizer.Optimizer, len(configs))
+	times, err := lockstepTimes(steps, names, func() []traceRunner {
+		runs := make([]traceRunner, len(configs))
+		for i, cfg := range configs {
+			opts[i] = optimizer.New(env.Cat, htcache.New(0), nil, cfg.opts)
+			runs[i] = opts[i].Run
+		}
+		return runs
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ablation: %w", err)
+	}
+	baseline := times[0]
+	for i, cfg := range configs {
+		out.Rows = append(out.Rows, AblationRow{
+			Name: cfg.name, Time: times[i],
+			HitRatio: opts[i].Cache.Stats().HitRatio,
+			Speedup:  speedupPct(baseline, times[i]),
+		})
+	}
+	workingSet := opts[len(opts)-1].Cache.TotalBytes()
 
 	// Eviction-policy rows: the full configuration again, but with the
 	// cache budget at half the trace's working set so the policy has to
 	// choose victims. The benefit row keeps the default policy plus a
 	// cold tier; the LRU row is the recency ablation.
 	full := configs[len(configs)-1].opts
-	for _, pc := range []struct {
-		name string
-		lru  bool
-	}{
-		{"benefit eviction, ½ budget", false},
-		{"LRU eviction, ½ budget", true},
-	} {
-		cache := htcache.New(workingSet / 2)
-		if pc.lru {
-			cache.SetPolicy(htcache.PolicyLRU)
-		} else {
-			cache.SetColdBudget(workingSet * 2)
+	policies := []string{"benefit eviction, ½ budget", "LRU eviction, ½ budget"}
+	caches := make([]*htcache.Cache, len(policies))
+	times, err = lockstepTimes(steps, policies, func() []traceRunner {
+		caches[0] = htcache.New(workingSet / 2)
+		caches[0].SetColdBudget(workingSet * 2)
+		caches[1] = htcache.New(workingSet / 2)
+		caches[1].SetPolicy(htcache.PolicyLRU)
+		runs := make([]traceRunner, len(caches))
+		for i, cache := range caches {
+			runs[i] = optimizer.New(env.Cat, cache, nil, full).Run
 		}
-		opt := optimizer.New(env.Cat, cache, nil, full)
-		t, err := runTrace(opt.Run, steps)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %q: %w", pc.name, err)
-		}
+		return runs
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ablation: %w", err)
+	}
+	for i, name := range policies {
 		out.Rows = append(out.Rows, AblationRow{
-			Name: pc.name, Time: t,
-			HitRatio: cache.Stats().HitRatio,
-			Speedup:  speedupPct(baseline, t),
+			Name: name, Time: times[i],
+			HitRatio: caches[i].Stats().HitRatio,
+			Speedup:  speedupPct(baseline, times[i]),
 		})
 	}
 	return out, nil

@@ -51,7 +51,7 @@ func (e *Env) newOptimizer(strategy optimizer.Strategy, budget int64) *optimizer
 }
 
 // runTrace executes a query sequence and reports the total wall time.
-func runTrace(run func(*plan.Query) (*optimizer.Result, error), steps []workload.Step) (time.Duration, error) {
+func runTrace(run traceRunner, steps []workload.Step) (time.Duration, error) {
 	var total time.Duration
 	for i := range steps {
 		t0 := time.Now()
@@ -61,6 +61,49 @@ func runTrace(run func(*plan.Query) (*optimizer.Result, error), steps []workload
 		total += time.Since(t0)
 	}
 	return total, nil
+}
+
+// traceRunner executes one query of a trace on one engine.
+type traceRunner = func(*plan.Query) (*optimizer.Result, error)
+
+// lockstepReps is how many times lockstepTimes runs a trace per engine.
+const lockstepReps = 5
+
+// lockstepTimes times a trace on several engines for comparison. It
+// runs the trace lockstepReps times, each time on the fresh engines
+// fresh returns (named by names, for errors), executing each step on
+// every engine before the next step, so a burst of load from elsewhere
+// lands on all engines alike. Every run starts from empty caches and
+// executes the same deterministic trace, so step i does the same work
+// in each run; an engine's time is the sum over steps of the step's
+// fastest run, and a transient stall only counts if it hits the same
+// step in every run. The engines of the last run stay with the caller
+// for their statistics.
+func lockstepTimes(steps []workload.Step, names []string, fresh func() []traceRunner) ([]time.Duration, error) {
+	best := make([][]time.Duration, len(names))
+	for rep := 0; rep < lockstepReps; rep++ {
+		runs := fresh()
+		for i := range steps {
+			for e, run := range runs {
+				t0 := time.Now()
+				if _, err := run(steps[i].Query); err != nil {
+					return nil, fmt.Errorf("%s: step %d (%v): %w", names[e], i, steps[i].Kind, err)
+				}
+				if d := time.Since(t0); rep == 0 {
+					best[e] = append(best[e], d)
+				} else {
+					best[e][i] = min(best[e][i], d)
+				}
+			}
+		}
+	}
+	totals := make([]time.Duration, len(best))
+	for e, ds := range best {
+		for _, d := range ds {
+			totals[e] += d
+		}
+	}
+	return totals, nil
 }
 
 // Exp1Row is one workload level's outcome (Figure 7a + 7b).
@@ -96,33 +139,25 @@ func Exp1(env *Env, n int) (*Exp1Result, error) {
 	out := &Exp1Result{N: n, SF: env.SF}
 	for _, level := range []workload.Level{workload.Low, workload.Medium, workload.High} {
 		steps := workload.Generate(workload.Config{Level: level, N: n})
-
-		noReuse := env.newOptimizer(optimizer.NeverReuse, 0)
-		tNo, err := runTrace(noReuse.Run, steps)
+		var mat *matreuse.Engine
+		var hs *optimizer.Optimizer
+		times, err := lockstepTimes(steps, []string{"no-reuse", "materialized", "hashstash"}, func() []traceRunner {
+			noReuse := env.newOptimizer(optimizer.NeverReuse, 0)
+			mat = matreuse.NewEngine(env.Cat, 0)
+			hs = env.newOptimizer(optimizer.CostModel, 0)
+			return []traceRunner{noReuse.Run, mat.Run, hs.Run}
+		})
 		if err != nil {
-			return nil, fmt.Errorf("no-reuse %v: %w", level, err)
+			return nil, fmt.Errorf("%v: %w", level, err)
 		}
-
-		mat := matreuse.NewEngine(env.Cat, 0)
-		tMat, err := runTrace(mat.Run, steps)
-		if err != nil {
-			return nil, fmt.Errorf("materialized %v: %w", level, err)
-		}
-
-		hs := env.newOptimizer(optimizer.CostModel, 0)
-		tHS, err := runTrace(hs.Run, steps)
-		if err != nil {
-			return nil, fmt.Errorf("hashstash %v: %w", level, err)
-		}
-
 		row := Exp1Row{
 			Level:            level,
-			NoReuseTime:      tNo,
-			MaterializedTime: tMat,
-			HashStashTime:    tHS,
+			NoReuseTime:      times[0],
+			MaterializedTime: times[1],
+			HashStashTime:    times[2],
 		}
-		row.MaterializedSpeedup = speedupPct(tNo, tMat)
-		row.HashStashSpeedup = speedupPct(tNo, tHS)
+		row.MaterializedSpeedup = speedupPct(row.NoReuseTime, row.MaterializedTime)
+		row.HashStashSpeedup = speedupPct(row.NoReuseTime, row.HashStashTime)
 		ms := mat.Cache.Stats()
 		hss := hs.Cache.Stats()
 		row.MaterializedBytes = ms.Bytes

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,11 +146,13 @@ func TestServerBackpressure(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var overloads, ok int
+	var returned atomic.Int64
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _, err := srv.Execute(context.Background(), "", similarSQL(0))
+			returned.Add(1)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -163,10 +166,12 @@ func TestServerBackpressure(t *testing.T) {
 		}()
 	}
 
-	// Wait for the queue to fill (the excess callers bounce), then
-	// Close: it flushes the queued group so the waiters return.
+	// Wait until every caller got past admission — queued, or already
+	// returned (the excess callers bounce) — then Close: it flushes the
+	// queued group so the waiters return. Closing any earlier refuses
+	// the callers still on their way in with ErrShuttingDown.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Overloads == 0 && time.Now().Before(deadline) {
+	for returned.Load()+srv.Stats().QueueDepth < clients && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	srv.Close()
