@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"hashstash/hashstasherr"
+	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
-	"hashstash/internal/shared"
 	"hashstash/internal/sqlparser"
 )
 
@@ -19,7 +19,7 @@ type Query = plan.Query
 // BatchResult is the outcome of a batch execution: per-query results
 // in input order plus the merge configuration (which queries shared a
 // plan).
-type BatchResult = shared.BatchResult
+type BatchResult = optimizer.BatchResult
 
 // Parse compiles SQL into a Query, resolving and validating every
 // reference against the catalog. Failures are typed: parse failures
@@ -84,7 +84,7 @@ func (db *DB) ExecParsedBatch(ctx context.Context, queries []*Query) (*BatchResu
 		}
 		return out, nil
 	}
-	return db.batch.RunBatchContext(ctx, queries)
+	return db.eng.Shard(0).Opt.RunBatchContext(ctx, queries)
 }
 
 // SupportsSharedPlans reports whether ExecParsedBatch can merge
@@ -99,7 +99,7 @@ func (db *DB) SupportsSharedPlans() bool {
 // shared plan. ok is false for queries that never merge (ORDER BY /
 // LIMIT). The serving front-end keys its admission queues on this.
 func BatchShape(q *Query) (shape string, ok bool) {
-	return shared.ShapeKey(q)
+	return optimizer.ShapeKey(q)
 }
 
 // EstimateCost plans q (reuse-aware, against the current cache state)
@@ -127,7 +127,7 @@ func (db *DB) EstimateSharingGain(q *Query, k int) float64 {
 	if !db.SupportsSharedPlans() {
 		return 0
 	}
-	return db.batch.SharingGain(q, k)
+	return db.eng.Shard(0).Opt.SharingGain(q, k)
 }
 
 // runContext routes a parsed query to the configured engine under ctx.

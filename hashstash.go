@@ -65,7 +65,6 @@ import (
 	"hashstash/internal/memgov"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/shard"
-	"hashstash/internal/shared"
 	"hashstash/internal/storage"
 	"hashstash/internal/tpch"
 	"hashstash/internal/types"
@@ -108,8 +107,6 @@ const (
 	// EngineMaterialized is the materialization-based reuse baseline
 	// (temporary tables; exact+subsuming reuse only).
 	EngineMaterialized
-	// EngineNoReuse executes classically.
-	EngineNoReuse
 )
 
 // Option configures Open.
@@ -173,9 +170,8 @@ func WithPartitionKey(table, column string) Option {
 // EngineHashStash, one otherwise. An unsharded DB is a 1-shard engine,
 // so every data and query path goes through the same router.
 type DB struct {
-	eng   *shard.Engine
-	batch *shared.Optimizer
-	mat   *matreuse.Engine
+	eng *shard.Engine
+	mat *matreuse.Engine
 	// matMu lets the materialized baseline's read-only queries run
 	// concurrently (read lock; its temp cache synchronizes internally).
 	// Nothing takes the write side today: schema changes keep the
@@ -201,10 +197,6 @@ func Open(opts ...Option) *DB {
 		o(cfg)
 	}
 	model := costmodel.NewModel(cfg.calibration)
-	strategy := cfg.strategy
-	if cfg.engine == EngineNoReuse {
-		strategy = NeverReuse
-	}
 	if spec := cfg.faults; spec != "" {
 		// Deterministic fault injection for resilience testing; a bad
 		// spec is a programming error in the test harness.
@@ -239,7 +231,7 @@ func Open(opts ...Option) *DB {
 		cat := catalog.New()
 		cache := htcache.New(split(cfg.budget))
 		opt := optimizer.New(cat, cache, model, optimizer.Options{
-			Strategy:           strategy,
+			Strategy:           cfg.strategy,
 			BenefitOriented:    cfg.benefit,
 			EnablePartial:      cfg.partial,
 			EnableOverlapping:  cfg.overlapping,
@@ -268,12 +260,10 @@ func Open(opts ...Option) *DB {
 
 	// Shard 0 holds every table (whole or as a fragment): the parser,
 	// the shared-plan batcher and the materialized baseline use it.
-	s0 := eng.Shard(0)
-	mat := matreuse.NewEngine(s0.Cat, cfg.budget)
+	mat := matreuse.NewEngine(eng.Shard(0).Cat, cfg.budget)
 	mat.Par = par
 	return &DB{
 		eng:    eng,
-		batch:  shared.New(s0.Opt),
 		mat:    mat,
 		engine: cfg.engine,
 		gov:    gov,

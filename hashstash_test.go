@@ -60,7 +60,7 @@ func TestExecBasics(t *testing.T) {
 }
 
 func TestEnginesAgree(t *testing.T) {
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	want, err := ref.Exec(q3SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestExecBatch(t *testing.T) {
 		t.Fatalf("results = %v", results)
 	}
 	// Batch results must match individual execution.
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	for i, sql := range sqls {
 		want, err := ref.Exec(sql)
 		if err != nil {

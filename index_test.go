@@ -281,10 +281,10 @@ func TestOrderByLimitBatch(t *testing.T) {
 }
 
 // TestOrderByLimitFallback checks ORDER BY / LIMIT without any index —
-// the sort+truncate fallback — on every engine.
+// the sort+truncate fallback — on every engine and without reuse.
 func TestOrderByLimitFallback(t *testing.T) {
-	for _, engine := range []Engine{EngineHashStash, EngineMaterialized, EngineNoReuse} {
-		db := openTPCH(t, WithEngine(engine), WithAblations(Ablations{NoSecondaryIndexes: true}))
+	for engine, opt := range []Option{WithEngine(EngineHashStash), WithEngine(EngineMaterialized), WithStrategy(NeverReuse)} {
+		db := openTPCH(t, opt, WithAblations(Ablations{NoSecondaryIndexes: true}))
 		res, err := db.Exec(`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l
 		    WHERE l.l_shipdate >= DATE '1995-03-01'
 		    ORDER BY l.l_extendedprice DESC LIMIT 5`)

@@ -16,7 +16,6 @@ import (
 	"hashstash/internal/matreuse"
 	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
-	"hashstash/internal/shared"
 	"hashstash/internal/tpch"
 	"hashstash/internal/workload"
 )
@@ -242,7 +241,7 @@ func Exp4(env *Env, queriesTotal int) (*Exp4Result, error) {
 
 		noReuse := env.newOptimizer(optimizer.NeverReuse, 0)
 		reuse := env.newOptimizer(optimizer.CostModel, 0)
-		sharedOpt := shared.New(env.newOptimizer(optimizer.CostModel, 0))
+		sharedOpt := env.newOptimizer(optimizer.CostModel, 0)
 
 		for bi := 0; bi < nBatches; bi++ {
 			batch := steps[bi*size : (bi+1)*size]

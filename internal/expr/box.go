@@ -351,14 +351,20 @@ func UnionIfBox(a, b Box) (Box, bool) {
 // ConstraintHull returns the exact union of two overlapping constraints
 // on the same column, or ok=false when the hull would include a gap.
 func ConstraintHull(a, b Constraint) (Constraint, bool) {
-	if a.Kind == types.String {
-		merged := append(append([]string{}, a.Set...), b.Set...)
-		return SetConstraint(merged...), true
-	}
-	if !a.Intersects(b) {
+	if a.Kind != types.String && !a.Intersects(b) {
 		return Constraint{}, false
 	}
-	return Constraint{Kind: a.Kind, Iv: hullInterval(a.Iv, b.Iv)}, true
+	return ConstraintSpan(a, b), true
+}
+
+// ConstraintSpan returns the smallest constraint containing two
+// constraints of the same kind, gaps between them included: a
+// permissive hull for estimation, never for lineage.
+func ConstraintSpan(a, b Constraint) Constraint {
+	if a.Kind == types.String {
+		return SetConstraint(append(append([]string{}, a.Set...), b.Set...)...)
+	}
+	return Constraint{Kind: a.Kind, Iv: hullInterval(a.Iv, b.Iv)}
 }
 
 // hullInterval returns the smallest interval containing both inputs;

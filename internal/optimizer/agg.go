@@ -373,7 +373,7 @@ func (o *Optimizer) classifyAggCandidate(q *plan.Query, cand *htcache.Entry, req
 		if !ok {
 			return aggOptionResult{}, false
 		}
-		newFilter, ok := unionIfBox(snap.Filter, reqFilter)
+		newFilter, ok := expr.UnionIfBox(snap.Filter, reqFilter)
 		if !ok {
 			return aggOptionResult{}, false
 		}

@@ -9,6 +9,7 @@ import (
 	"hashstash/internal/htcache"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
+	"hashstash/internal/types"
 )
 
 // Compiled is an executable form of a planned query.
@@ -141,41 +142,69 @@ func (c *compiler) compileStream(n *Node) (exec.Source, []exec.Transform, storag
 	return nil, nil, nil, fmt.Errorf("optimizer: unknown node kind %d", n.Kind)
 }
 
-// joinLayout constructs the layout of a fresh build-side table:
-// deduplicated key columns first, then the remaining needed columns.
-func (c *compiler) joinLayout(n *Node) (hashtable.Layout, error) {
-	q := c.q
-	keysBase := baseQualifyRefs(q, n.BuildKeys)
-	neededBase := c.o.requiredBuildCols(q, n.BuildMask, c.needed)
+// newLayout builds a hash-table layout from base-qualified columns:
+// the deduplicated key columns first, then the remaining payload
+// columns, then — for a shared (qid-tagged) table — the qid tag.
+func (o *Optimizer) newLayout(keys, payload []storage.ColRef, qid bool) (hashtable.Layout, error) {
 	var cols []storage.ColMeta
 	seen := map[storage.ColRef]bool{}
-	addRef := func(ref storage.ColRef) error {
-		if seen[ref] {
-			return nil
+	add := func(refs []storage.ColRef) error {
+		for _, ref := range refs {
+			if seen[ref] {
+				continue
+			}
+			seen[ref] = true
+			kind, err := o.Cat.Resolve(ref.Table, ref.Column)
+			if err != nil {
+				return err
+			}
+			cols = append(cols, storage.ColMeta{Ref: ref, Kind: kind})
 		}
-		seen[ref] = true
-		kind, err := c.o.Cat.Resolve(ref.Table, ref.Column)
-		if err != nil {
-			return err
-		}
-		cols = append(cols, storage.ColMeta{Ref: ref, Kind: kind})
 		return nil
 	}
-	nKeys := 0
-	for _, k := range keysBase {
-		if !seen[k] {
-			nKeys++
-		}
-		if err := addRef(k); err != nil {
-			return hashtable.Layout{}, err
-		}
+	if err := add(keys); err != nil {
+		return hashtable.Layout{}, err
 	}
-	for _, ref := range neededBase {
-		if err := addRef(ref); err != nil {
-			return hashtable.Layout{}, err
-		}
+	nKeys := len(cols)
+	if err := add(payload); err != nil {
+		return hashtable.Layout{}, err
+	}
+	if qid {
+		cols = append(cols, storage.ColMeta{Ref: exec.QidRef(), Kind: types.Int64})
 	}
 	return hashtable.Layout{Cols: cols, KeyCols: nKeys}, nil
+}
+
+// buildFeed maps a base-qualified table layout to the query's
+// alias-qualified stream columns that fill it. The qid tag has no
+// table, so it maps to itself.
+func buildFeed(q *plan.Query, layout hashtable.Layout) []storage.ColRef {
+	feed := make([]storage.ColRef, len(layout.Cols))
+	for i, m := range layout.Cols {
+		feed[i] = storage.ColRef{Table: aliasForTable(q, m.Ref.Table), Column: m.Ref.Column}
+	}
+	return feed
+}
+
+// probeEmits maps the required build-side columns (base-qualified) to
+// their layout positions and the alias-qualified refs a probe emits.
+func probeEmits(q *plan.Query, layout hashtable.Layout, required []storage.ColRef) ([]int, []storage.ColRef, error) {
+	var emitCols []int
+	var emitRefs []storage.ColRef
+	seen := map[storage.ColRef]bool{}
+	for _, ref := range required {
+		if seen[ref] {
+			continue
+		}
+		seen[ref] = true
+		ci := layout.ColIndex(ref)
+		if ci < 0 {
+			return nil, nil, fmt.Errorf("optimizer: column %v missing from build table layout", ref)
+		}
+		emitCols = append(emitCols, ci)
+		emitRefs = append(emitRefs, storage.ColRef{Table: aliasForTable(q, ref.Table), Column: ref.Column})
+	}
+	return emitCols, emitRefs, nil
 }
 
 // freshBuildHT compiles the build-side sub-plan of a join into a new
@@ -183,7 +212,7 @@ func (c *compiler) joinLayout(n *Node) (hashtable.Layout, error) {
 // a cold candidate loses its entry between planning and compilation).
 func (c *compiler) freshBuildHT(n *Node) (*hashtable.Table, error) {
 	q := c.q
-	layout, err := c.joinLayout(n)
+	layout, err := c.o.newLayout(baseQualifyRefs(q, n.BuildKeys), c.o.requiredBuildCols(q, n.BuildMask, c.needed), false)
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +221,7 @@ func (c *compiler) freshBuildHT(n *Node) (*hashtable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	feed := make([]storage.ColRef, len(layout.Cols))
-	for i, m := range layout.Cols {
-		feed[i] = storage.ColRef{Table: aliasForTable(q, m.Ref.Table), Column: m.Ref.Column}
-	}
-	sink, err := exec.NewBuildHT(ht, bschema, feed)
+	sink, err := exec.NewBuildHT(ht, bschema, buildFeed(q, layout))
 	if err != nil {
 		return nil, err
 	}
@@ -302,22 +327,9 @@ func (c *compiler) obtainBuildHT(n *Node) (*hashtable.Table, []int, []storage.Co
 	}
 
 	// The probe emits every needed build-side column.
-	neededBase := c.o.requiredBuildCols(q, n.BuildMask, c.needed)
-	layout := ht.Layout()
-	var emitCols []int
-	var emitRefs []storage.ColRef
-	seen := map[storage.ColRef]bool{}
-	for _, ref := range neededBase {
-		if seen[ref] {
-			continue
-		}
-		seen[ref] = true
-		ci := layout.ColIndex(ref)
-		if ci < 0 {
-			return nil, nil, nil, fmt.Errorf("optimizer: column %v missing from build table layout", ref)
-		}
-		emitCols = append(emitCols, ci)
-		emitRefs = append(emitRefs, storage.ColRef{Table: aliasForTable(q, ref.Table), Column: ref.Column})
+	emitCols, emitRefs, err := probeEmits(q, ht.Layout(), c.o.requiredBuildCols(q, n.BuildMask, c.needed))
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return ht, emitCols, emitRefs, nil
 }
@@ -422,20 +434,49 @@ func aggCellRef(s expr.AggSpec) storage.ColRef {
 	return storage.ColRef{Column: s.Name()}
 }
 
-// aggLayout builds the layout of a fresh aggregation table.
-func (c *compiler) aggLayout(agg *AggChoice) (hashtable.Layout, error) {
+// aggLayout builds the layout of a fresh aggregation table: the group
+// keys, then one cell per base-qualified spec.
+func (o *Optimizer) aggLayout(groupBase []storage.ColRef, specs []expr.AggSpec) (hashtable.Layout, error) {
 	var cols []storage.ColMeta
-	for _, ref := range agg.GroupBase {
-		kind, err := c.o.Cat.Resolve(ref.Table, ref.Column)
+	for _, ref := range groupBase {
+		kind, err := o.Cat.Resolve(ref.Table, ref.Column)
 		if err != nil {
 			return hashtable.Layout{}, err
 		}
 		cols = append(cols, storage.ColMeta{Ref: ref, Kind: kind})
 	}
-	for _, s := range agg.Specs {
-		cols = append(cols, storage.ColMeta{Ref: aggCellRef(s), Kind: specCellKind(s, c.o.argKind(s))})
+	for _, s := range specs {
+		cols = append(cols, storage.ColMeta{Ref: aggCellRef(s), Kind: specCellKind(s, o.argKind(s))})
 	}
-	return hashtable.Layout{Cols: cols, KeyCols: len(agg.GroupBase)}, nil
+	return hashtable.Layout{Cols: cols, KeyCols: len(groupBase)}, nil
+}
+
+// aggCells maps each base-qualified spec to its input column in schema.
+// args holds each spec's argument as the stream qualifies it; a plain
+// column reference may already flow through the stream, otherwise a
+// Compute (returned in tfs) evaluates it.
+func (o *Optimizer) aggCells(specs []expr.AggSpec, args []expr.Expr, schema storage.Schema) ([]exec.AggCell, []exec.Transform, storage.Schema) {
+	cells := make([]exec.AggCell, len(specs))
+	var tfs []exec.Transform
+	for i, s := range specs {
+		kind := specCellKind(s, o.argKind(s))
+		if args[i] == nil {
+			cells[i] = exec.AggCell{Func: s.Func, InCol: -1, Kind: kind}
+			continue
+		}
+		if col, ok := args[i].(*expr.Col); ok {
+			if j := schema.IndexOf(col.Ref); j >= 0 {
+				cells[i] = exec.AggCell{Func: s.Func, InCol: j, Kind: kind}
+				continue
+			}
+		}
+		ref := storage.ColRef{Column: fmt.Sprintf("_agg%d", i)}
+		comp := exec.NewCompute(args[i], ref, schema)
+		tfs = append(tfs, comp)
+		schema = comp.OutSchema()
+		cells[i] = exec.AggCell{Func: s.Func, InCol: schema.IndexOf(ref), Kind: kind}
+	}
+	return cells, tfs, schema
 }
 
 // attachAggInput compiles one input plan (full or residual) and sinks it
@@ -447,28 +488,14 @@ func (c *compiler) attachAggInput(root *Node, ht *hashtable.Table, groupBase []s
 	if err != nil {
 		return err
 	}
-	cells := make([]exec.AggCell, len(specs))
+	args := make([]expr.Expr, len(specs))
 	for i, s := range specs {
-		kind := specCellKind(s, c.o.argKind(s))
-		if s.Arg == nil {
-			cells[i] = exec.AggCell{Func: s.Func, InCol: -1, Kind: kind}
-			continue
+		if s.Arg != nil {
+			args[i] = aliasQualifyExpr(q, s.Arg)
 		}
-		argAlias := aliasQualifyExpr(q, s.Arg)
-		// A plain column reference may already flow through the
-		// pipeline; otherwise compute it.
-		if col, ok := argAlias.(*expr.Col); ok {
-			if j := schema.IndexOf(col.Ref); j >= 0 {
-				cells[i] = exec.AggCell{Func: s.Func, InCol: j, Kind: kind}
-				continue
-			}
-		}
-		ref := storage.ColRef{Column: fmt.Sprintf("_agg%d", i)}
-		comp := exec.NewCompute(argAlias, ref, schema)
-		tfs = append(tfs, comp)
-		schema = comp.OutSchema()
-		cells[i] = exec.AggCell{Func: s.Func, InCol: schema.IndexOf(ref), Kind: kind}
 	}
+	cells, argTfs, schema := c.o.aggCells(specs, args, schema)
+	tfs = append(tfs, argTfs...)
 	groupAlias := make([]storage.ColRef, len(groupBase))
 	for i, ref := range groupBase {
 		groupAlias[i] = storage.ColRef{Table: aliasForTable(q, ref.Table), Column: ref.Column}
@@ -547,7 +574,7 @@ func (c *compiler) compileAggRoot(p *Planned) error {
 // root (the ModeNew path, also the fallback when a cold aggregate loses
 // its entry between planning and compilation).
 func (c *compiler) compileFreshAgg(root *Node, agg *AggChoice) error {
-	layout, err := c.aggLayout(agg)
+	layout, err := c.o.aggLayout(agg.GroupBase, agg.Specs)
 	if err != nil {
 		return err
 	}
@@ -629,7 +656,7 @@ func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx [
 
 	if postAgg {
 		// Fold the superset grouping down to the requested keys.
-		mergedLayout, err := c.aggLayout(agg)
+		mergedLayout, err := c.o.aggLayout(agg.GroupBase, agg.Specs)
 		if err != nil {
 			return err
 		}
@@ -660,22 +687,37 @@ func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx [
 		tfs = nil
 	}
 
-	// Reconstruct AVGs (sum/count division).
+	p, collect, names, err := aggOutput(q, agg.Specs, agg.SrcIdx, src, schema, tfs)
+	if err != nil {
+		return err
+	}
+	c.out.Pipelines = append(c.out.Pipelines, p)
+	c.out.Out = collect
+	c.out.Columns = names
+	return nil
+}
+
+// aggOutput finishes an aggregate readout over a stream carrying the
+// base-qualified group keys and one cell per spec (named by
+// aggCellRef): reconstruct AVGs from their sum/count cells (srcIdx, as
+// expr.RewriteAvg maps q.Aggs to specs), project the select columns
+// then the aggregates under their output names, and collect.
+func aggOutput(q *plan.Query, specs []expr.AggSpec, srcIdx [][2]int, src exec.Source, schema storage.Schema, tfs []exec.Transform) (*exec.Pipeline, *exec.Collect, []string, error) {
 	finalAggRefs := make([]storage.ColRef, len(q.Aggs))
 	for i, orig := range q.Aggs {
-		si, ci := agg.SrcIdx[i][0], agg.SrcIdx[i][1]
+		si, ci := srcIdx[i][0], srcIdx[i][1]
 		if orig.Func == expr.AggAvg && si != ci {
 			ref := storage.ColRef{Column: fmt.Sprintf("_avg%d", i)}
 			div := &expr.Bin{Op: expr.OpDiv,
-				L: &expr.Col{Ref: aggCellRef(agg.Specs[si])},
-				R: &expr.Col{Ref: aggCellRef(agg.Specs[ci])},
+				L: &expr.Col{Ref: aggCellRef(specs[si])},
+				R: &expr.Col{Ref: aggCellRef(specs[ci])},
 			}
 			comp := exec.NewCompute(div, ref, schema)
 			tfs = append(tfs, comp)
 			schema = comp.OutSchema()
 			finalAggRefs[i] = ref
 		} else {
-			finalAggRefs[i] = aggCellRef(agg.Specs[si])
+			finalAggRefs[i] = aggCellRef(specs[si])
 		}
 	}
 
@@ -687,7 +729,7 @@ func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx [
 		base := baseQualifyRefs(q, []storage.ColRef{sel})[0]
 		i := schema.IndexOf(base)
 		if i < 0 {
-			return fmt.Errorf("optimizer: select column %v not in readout", sel)
+			return nil, nil, nil, fmt.Errorf("optimizer: select column %v not in readout", sel)
 		}
 		cols = append(cols, i)
 		names = append(names, sel.String())
@@ -696,7 +738,7 @@ func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx [
 	for i, orig := range q.Aggs {
 		j := schema.IndexOf(finalAggRefs[i])
 		if j < 0 {
-			return fmt.Errorf("optimizer: aggregate output %v not in readout", finalAggRefs[i])
+			return nil, nil, nil, fmt.Errorf("optimizer: aggregate output %v not in readout", finalAggRefs[i])
 		}
 		cols = append(cols, j)
 		names = append(names, orig.Name())
@@ -704,14 +746,10 @@ func (c *compiler) compileReadout(ht *hashtable.Table, agg *AggChoice, specIdx [
 	}
 	proj, err := exec.NewProject(cols, renames, schema)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	tfs = append(tfs, proj)
 	collect := exec.NewCollect(proj.OutSchema())
-	c.out.Pipelines = append(c.out.Pipelines, &exec.Pipeline{Source: src, Transforms: tfs, Sink: collect})
-	c.out.Out = collect
-	c.out.Columns = names
-	return nil
+	return &exec.Pipeline{Source: src, Transforms: append(tfs, proj), Sink: collect}, collect, names, nil
 }
 
 func identityCols(n int) []int {

@@ -180,17 +180,13 @@ func (o *Optimizer) neededCols(q *plan.Query) map[string][]string {
 	// Every relation must emit at least its join keys; a relation with
 	// no needed columns (rare) still contributes its first column so a
 	// scan schema exists.
-	for i, rel := range q.Relations {
+	for _, rel := range q.Relations {
 		if len(out[rel.Alias]) == 0 {
 			tbl := o.Cat.Table(rel.Table)
 			if tbl != nil && len(tbl.Cols) > 0 {
 				out[rel.Alias] = []string{tbl.Cols[0].Name}
 			}
 		}
-		_ = i
 	}
 	return out
 }
-
-// unionIfBox delegates to the expr package's exact box union.
-func unionIfBox(a, b expr.Box) (expr.Box, bool) { return expr.UnionIfBox(a, b) }

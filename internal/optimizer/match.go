@@ -162,7 +162,7 @@ func (o *Optimizer) classifyJoinCandidate(q *plan.Query, mask int, e *htcache.En
 		if !ok {
 			return ReuseChoice{}, false
 		}
-		newFilter, ok := unionIfBox(snap.Filter, reqFilter)
+		newFilter, ok := expr.UnionIfBox(snap.Filter, reqFilter)
 		if !ok {
 			return ReuseChoice{}, false
 		}

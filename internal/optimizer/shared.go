@@ -1,44 +1,36 @@
-// Package shared implements multi-query reuse (Section 4 of the paper):
-// reuse-aware shared plans over query batches. A batch is partitioned
-// into groups by a dynamic-programming merge process; each multi-query
-// group executes one shared plan built on the Data-Query model — shared
-// scans evaluate every query's predicates in one pass and tag rows with
-// query-id bitmasks, shared reuse-aware hash joins (SRHJ) carry the tags
-// through qid-aware probes, and shared reuse-aware hash aggregates
-// (SRHA) materialize the grouping phase as tagged tuples so each query's
-// aggregates are computed from the shared grouping table.
+package optimizer
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+
+	"hashstash/internal/expr"
+	"hashstash/internal/plan"
+	"hashstash/internal/storage"
+)
+
+// Shared plans: multi-query reuse (Section 4 of the paper). A batch is
+// partitioned into groups by a dynamic-programming merge process; each
+// multi-query group executes one shared plan built on the Data-Query
+// model — shared scans evaluate every query's predicates in one pass
+// and tag rows with query-id bitmasks, shared reuse-aware hash joins
+// (SRHJ) carry the tags through qid-aware probes, and shared
+// reuse-aware hash aggregates (SRHA) materialize the grouping phase as
+// tagged tuples so each query's aggregates are computed from the shared
+// grouping table.
 //
 // Cached shared tables are reused after re-tagging every stored tuple
 // against the new batch's predicates (the correctness requirement the
 // paper stresses: stale tags from recycled query IDs would corrupt
 // results).
-package shared
-
-import (
-	"context"
-	"fmt"
-	"sort"
-	"strings"
-
-	"hashstash/internal/expr"
-	"hashstash/internal/optimizer"
-	"hashstash/internal/plan"
-	"hashstash/internal/storage"
-	"hashstash/internal/types"
-)
-
-// Optimizer plans and runs query batches.
-type Optimizer struct {
-	Single *optimizer.Optimizer
-}
-
-// New wraps a single-query optimizer.
-func New(single *optimizer.Optimizer) *Optimizer { return &Optimizer{Single: single} }
 
 // BatchResult is the outcome of executing a batch.
 type BatchResult struct {
 	// Results holds one result per query, in input order.
-	Results []*optimizer.Result
+	Results []*Result
 	// Groups records the merge configuration: each element is the list
 	// of query indexes executed by one plan (len>1 → shared plan).
 	Groups [][]int
@@ -75,16 +67,16 @@ func ShapeKey(q *plan.Query) (string, bool) {
 // plan's estimated cost minus the shared plan's estimate over k copies.
 // Negative or zero means modeled sharing does not pay. The serving
 // front-end's admission policy gates batch windows on it.
-func (s *Optimizer) SharingGain(q *plan.Query, k int) float64 {
+func (o *Optimizer) SharingGain(q *plan.Query, k int) float64 {
 	if k < 2 {
 		return 0
 	}
 	if _, ok := ShapeKey(q); !ok {
 		return 0
 	}
-	reader := s.Single.Cache.EnterReader()
+	reader := o.Cache.EnterReader()
 	defer reader.Exit()
-	p, err := s.Single.PlanQuery(q)
+	p, err := o.PlanQuery(q)
 	if err != nil {
 		return 0
 	}
@@ -94,7 +86,7 @@ func (s *Optimizer) SharingGain(q *plan.Query, k int) float64 {
 		copies[i] = q
 		group[i] = i
 	}
-	return float64(k)*p.EstimatedCost - s.sharedPlanCost(copies, group)
+	return float64(k)*p.EstimatedCost - o.sharedPlanCost(copies, group)
 }
 
 // configKey canonically encodes a merge configuration.
@@ -116,7 +108,7 @@ func configKey(groups [][]int) string {
 // k is either kept separate or merged into each existing compatible
 // group; the cheapest configuration per level survives. Costs come from
 // the single-query optimizer's estimates and the shared-plan cost model.
-func (s *Optimizer) PlanBatch(queries []*plan.Query) ([][]int, error) {
+func (o *Optimizer) PlanBatch(queries []*plan.Query) ([][]int, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("shared: empty batch")
 	}
@@ -125,7 +117,7 @@ func (s *Optimizer) PlanBatch(queries []*plan.Query) ([][]int, error) {
 	}
 	singleCost := make([]float64, len(queries))
 	for i, q := range queries {
-		p, err := s.Single.PlanQuery(q)
+		p, err := o.PlanQuery(q)
 		if err != nil {
 			return nil, fmt.Errorf("shared: query %d: %w", i, err)
 		}
@@ -148,7 +140,7 @@ func (s *Optimizer) PlanBatch(queries []*plan.Query) ([][]int, error) {
 			merged[gi] = append(merged[gi], k)
 			cost := 0.0
 			for _, grp := range merged {
-				cost += s.groupCost(queries, grp, singleCost)
+				cost += o.groupCost(queries, grp, singleCost)
 			}
 			if cost < candCost {
 				cand, candCost = merged, cost
@@ -168,11 +160,11 @@ func cloneGroups(groups [][]int) [][]int {
 }
 
 // groupCost estimates the runtime of executing a group with one plan.
-func (s *Optimizer) groupCost(queries []*plan.Query, group []int, singleCost []float64) float64 {
+func (o *Optimizer) groupCost(queries []*plan.Query, group []int, singleCost []float64) float64 {
 	if len(group) == 1 {
 		return singleCost[group[0]]
 	}
-	return s.sharedPlanCost(queries, group)
+	return o.sharedPlanCost(queries, group)
 }
 
 // sharedPlanCost models a shared plan: every relation is scanned fully
@@ -180,9 +172,8 @@ func (s *Optimizer) groupCost(queries []*plan.Query, group []int, singleCost []f
 // paid once over the union of qualifying rows, and each query pays its
 // own aggregation readout. The estimate deliberately mirrors the shape
 // of the single-query model so the DP compares like with like.
-func (s *Optimizer) sharedPlanCost(queries []*plan.Query, group []int) float64 {
+func (o *Optimizer) sharedPlanCost(queries []*plan.Query, group []int) float64 {
 	rep := queries[group[0]]
-	o := s.Single
 	var cost float64
 	for _, rel := range rep.Relations {
 		ts := o.Cat.Stats(rel.Table)
@@ -194,7 +185,7 @@ func (s *Optimizer) sharedPlanCost(queries []*plan.Query, group []int) float64 {
 	// Join work: one pass over the hull of all queries' predicates.
 	hull := hullFilter(queries, group)
 	full := (1 << uint(len(rep.Relations))) - 1
-	unionRows := o.EstimateMaskRows(rep, full, hull)
+	unionRows := o.maskRows(rep, full, hull)
 	cost += unionRows * 80 // per-row probe chain through the join spine
 	// Per-query aggregation readout.
 	for range group {
@@ -214,80 +205,51 @@ func hullFilter(queries []*plan.Query, group []int) expr.Box {
 	}
 	var preds []expr.Pred
 	for col, cons := range cols {
-		if len(cons) != len(group) {
-			continue // some query leaves the column unconstrained
+		// Skip a column some query leaves unconstrained, or whose kinds
+		// disagree (one alias naming different tables across queries).
+		if len(cons) != len(group) || slices.ContainsFunc(cons, func(c expr.Constraint) bool { return c.Kind != cons[0].Kind }) {
+			continue
 		}
 		hull := cons[0]
-		exact := true
 		for _, c := range cons[1:] {
-			h, ok := hullConstraint(hull, c)
-			if !ok {
-				exact = false
-				break
-			}
-			hull = h
+			hull = expr.ConstraintSpan(hull, c)
 		}
-		if exact {
-			preds = append(preds, expr.Pred{Col: col, Con: hull})
-		}
+		preds = append(preds, expr.Pred{Col: col, Con: hull})
 	}
 	return expr.NewBox(preds...)
 }
 
-// hullConstraint is a permissive hull for estimation purposes.
-func hullConstraint(a, b expr.Constraint) (expr.Constraint, bool) {
-	if a.Kind != b.Kind {
-		return expr.Constraint{}, false
-	}
-	if a.Kind == types.String {
-		return expr.SetConstraint(append(append([]string{}, a.Set...), b.Set...)...), true
-	}
-	iv := a.Iv
-	o := b.Iv
-	if !o.HasLo {
-		iv.HasLo = false
-	} else if iv.HasLo && o.Lo.Compare(iv.Lo) < 0 {
-		iv.Lo, iv.LoIncl = o.Lo, o.LoIncl
-	}
-	if !o.HasHi {
-		iv.HasHi = false
-	} else if iv.HasHi && o.Hi.Compare(iv.Hi) > 0 {
-		iv.Hi, iv.HiIncl = o.Hi, o.HiIncl
-	}
-	return expr.Constraint{Kind: a.Kind, Iv: iv}, true
-}
-
 // RunBatch plans and executes a batch, returning per-query results in
 // input order.
-func (s *Optimizer) RunBatch(queries []*plan.Query) (*BatchResult, error) {
-	return s.RunBatchContext(context.Background(), queries)
+func (o *Optimizer) RunBatch(queries []*plan.Query) (*BatchResult, error) {
+	return o.RunBatchContext(context.Background(), queries)
 }
 
 // RunBatchContext is RunBatch under a context: cancellation or
 // deadline expiry aborts the in-flight group's morsel dispatch and the
 // batch returns an error wrapping hashstasherr.ErrCanceled.
-func (s *Optimizer) RunBatchContext(ctx context.Context, queries []*plan.Query) (*BatchResult, error) {
+func (o *Optimizer) RunBatchContext(ctx context.Context, queries []*plan.Query) (*BatchResult, error) {
 	// Plan as an epoch reader: merge costing resolves cached snapshots,
 	// which stay unreclaimed (and, being frozen, immutable) until the
 	// reader exits — concurrent widening queries publish successors
 	// without disturbing this planning pass.
-	reader := s.Single.Cache.EnterReader()
-	groups, err := s.PlanBatch(queries)
+	reader := o.Cache.EnterReader()
+	groups, err := o.PlanBatch(queries)
 	reader.Exit()
 	if err != nil {
 		return nil, err
 	}
-	out := &BatchResult{Results: make([]*optimizer.Result, len(queries)), Groups: groups}
+	out := &BatchResult{Results: make([]*Result, len(queries)), Groups: groups}
 	for _, g := range groups {
 		if len(g) == 1 {
-			res, err := s.Single.RunContext(ctx, queries[g[0]])
+			res, err := o.RunContext(ctx, queries[g[0]])
 			if err != nil {
 				return nil, fmt.Errorf("shared: query %d: %w", g[0], err)
 			}
 			out.Results[g[0]] = res
 			continue
 		}
-		results, err := s.runSharedGroup(ctx, queries, g)
+		results, err := o.runSharedGroup(ctx, queries, g)
 		if err != nil {
 			return nil, err
 		}

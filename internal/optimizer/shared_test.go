@@ -1,4 +1,4 @@
-package shared
+package optimizer
 
 import (
 	"fmt"
@@ -9,7 +9,6 @@ import (
 	"hashstash/internal/catalog"
 	"hashstash/internal/expr"
 	"hashstash/internal/htcache"
-	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
 	"hashstash/internal/tpch"
@@ -26,11 +25,8 @@ func newBatchEnv(t *testing.T) (*catalog.Catalog, *Optimizer) {
 	for _, tbl := range db.Tables() {
 		cat.Register(tbl)
 	}
-	single := optimizer.New(cat, htcache.New(0), nil, optimizer.DefaultOptions())
-	return cat, New(single)
+	return cat, New(cat, htcache.New(0), nil, DefaultOptions())
 }
-
-func ref(a, c string) storage.ColRef { return storage.ColRef{Table: a, Column: c} }
 
 func dateFilter(lo, hi string) expr.Box {
 	iv := expr.Interval{}
@@ -72,7 +68,7 @@ func spjQ(lo, hi string) *plan.Query {
 	}
 }
 
-func canonicalRows(r *optimizer.Result) []string {
+func canonicalRows(r *Result) []string {
 	out := make([]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		var parts []string
@@ -98,7 +94,7 @@ func assertBatchMatchesSingles(t *testing.T, cat *catalog.Catalog, s *Optimizer,
 	if err != nil {
 		t.Fatal(err)
 	}
-	never := optimizer.New(cat, htcache.New(0), nil, optimizer.Options{Strategy: optimizer.NeverReuse})
+	never := New(cat, htcache.New(0), nil, Options{Strategy: NeverReuse})
 	for i, q := range queries {
 		want, err := never.Run(q)
 		if err != nil {
@@ -229,7 +225,7 @@ func TestSharedGroupingReuseAcrossBatches(t *testing.T) {
 		aggQuery("1995-02-01", "1995-08-01"),
 	}
 	assertBatchMatchesSingles(t, cat, s, queries)
-	before := s.Single.Cache.Stats().Hits
+	before := s.Cache.Stats().Hits
 
 	// A second batch whose predicates are covered by the first batch's
 	// hull ([01-01, 08-01)) — the grouping table should be re-tagged and
@@ -239,7 +235,7 @@ func TestSharedGroupingReuseAcrossBatches(t *testing.T) {
 		aggQuery("1995-03-01", "1995-06-01"),
 	}
 	assertBatchMatchesSingles(t, cat, s, queries2)
-	if s.Single.Cache.Stats().Hits <= before {
+	if s.Cache.Stats().Hits <= before {
 		t.Error("no shared-table reuse across batches")
 	}
 }

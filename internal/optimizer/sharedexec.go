@@ -1,10 +1,10 @@
-package shared
+package optimizer
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hashstash/hashstasherr"
@@ -12,17 +12,15 @@ import (
 	"hashstash/internal/expr"
 	"hashstash/internal/hashtable"
 	"hashstash/internal/htcache"
-	"hashstash/internal/optimizer"
 	"hashstash/internal/plan"
 	"hashstash/internal/storage"
-	"hashstash/internal/types"
 )
 
 // groupExec compiles and runs one shared plan for a group of mergeable
 // queries. Bit i of every qid mask corresponds to the group's i-th
 // query.
 type groupExec struct {
-	s       *Optimizer
+	o       *Optimizer
 	rep     *plan.Query   // representative: supplies aliases & join tree
 	queries []*plan.Query // the group's queries (≤64)
 
@@ -37,7 +35,6 @@ type groupExec struct {
 	collects []*exec.Collect // one per query (aggregate path)
 	spineOut *exec.Collect   // SPJ path: shared output split by qid
 	columns  [][]string
-	reused   int // shared tables reused (after re-tag)
 }
 
 // runSharedGroup executes queries[group...] with one shared plan,
@@ -47,10 +44,10 @@ type groupExec struct {
 // touch the published snapshot other queries are probing. The group
 // registers as an epoch reader for its lifetime, keeping every
 // snapshot it resolved alive until its pipelines drain.
-func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, group []int) (res []*optimizer.Result, err error) {
-	reader := s.Single.Cache.EnterReader()
+func (o *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, group []int) (res []*Result, err error) {
+	reader := o.Cache.EnterReader()
 	defer reader.Exit()
-	g := &groupExec{s: s, rep: queries[group[0]]}
+	g := &groupExec{o: o, rep: queries[group[0]]}
 	// Panic boundary for the group's caller-goroutine work (planning,
 	// compilation, result collection; pipeline panics are already
 	// contained by the scheduler): unwind the group's pins so one
@@ -65,14 +62,14 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 	for _, qi := range group {
 		g.queries = append(g.queries, queries[qi])
 	}
-	g.computeNeeded()
 
 	// The shared plan borrows the join-tree shape from the single-query
 	// enumerator. The pass runs with never-reuse over an empty cache so
 	// every node carries a full build subtree — the shared operators
 	// make their own reuse decisions over qid-tagged tables.
-	treePlanner := optimizer.New(s.Single.Cat, htcache.New(0), s.Single.Model,
-		optimizer.Options{Strategy: optimizer.NeverReuse, BenefitOriented: true})
+	treePlanner := New(o.Cat, htcache.New(0), o.Model,
+		Options{Strategy: NeverReuse, BenefitOriented: true})
+	g.computeNeeded(treePlanner)
 	tree, err := treePlanner.PlanSPJ(g.rep)
 	if err != nil {
 		return nil, err
@@ -92,19 +89,19 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 	// once their grouping table's build finishes.
 	t0 := time.Now()
 	runErr := exec.RunParallel(g.pipelines, exec.Parallelism{
-		Workers:    s.Single.Opts.Parallelism,
-		MorselRows: s.Single.Opts.MorselRows,
+		Workers:    o.Opts.Parallelism,
+		MorselRows: o.Opts.MorselRows,
 		Ctx:        ctx,
 	})
 	elapsed := time.Since(t0)
 	if runErr != nil {
 		// A contained panic while the shared plan probed cached
 		// snapshots: quarantine the pinned artifacts, same blame rule as
-		// the solo path (see optimizer.Prepared.Finish).
+		// the solo path (see Prepared.Finish).
 		var ie *hashstasherr.InternalError
 		if errors.As(runErr, &ie) {
 			for _, e := range g.pinned {
-				s.Single.Cache.Quarantine(e)
+				o.Cache.Quarantine(e)
 			}
 		}
 		g.discardAll()
@@ -123,10 +120,10 @@ func (s *Optimizer) runSharedGroup(ctx context.Context, queries []*plan.Query, g
 
 func (g *groupExec) releaseAll() {
 	for _, e := range g.pinned {
-		g.s.Single.Cache.Release(e)
+		g.o.Cache.Release(e)
 	}
 	for _, e := range g.created {
-		g.s.Single.Cache.Release(e)
+		g.o.Cache.Release(e)
 	}
 	g.pinned, g.created = nil, nil
 }
@@ -136,44 +133,36 @@ func (g *groupExec) releaseAll() {
 // the cache instead of being published as reuse candidates.
 func (g *groupExec) discardAll() {
 	for _, e := range g.pinned {
-		g.s.Single.Cache.Release(e)
+		g.o.Cache.Release(e)
 	}
 	for _, e := range g.created {
-		g.s.Single.Cache.Abandon(e)
+		g.o.Cache.Abandon(e)
 	}
 	// Idempotent: the panic boundary may run after a release path
 	// already unwound the group.
 	g.pinned, g.created = nil, nil
 }
 
-// aliasOf maps a base table to the representative's alias.
-func (g *groupExec) aliasOf(table string) string {
-	for _, r := range g.rep.Relations {
-		if r.Table == table {
-			return r.Alias
-		}
+// queryBoxesBase returns every query's full filter, base-qualified.
+func (g *groupExec) queryBoxesBase() []expr.Box {
+	out := make([]expr.Box, len(g.queries))
+	for i, q := range g.queries {
+		out[i] = q.BaseQualify(q.Filter)
 	}
-	return table
-}
-
-// queryBoxBase returns query i's full filter, base-qualified.
-func (g *groupExec) queryBoxBase(i int) expr.Box {
-	return g.queries[i].BaseQualify(g.queries[i].Filter)
+	return out
 }
 
 // relBoxes returns, per query, the base-qualified predicates on the
 // masked relations (rep-relative mask).
 func (g *groupExec) relBoxes(mask int) []expr.Box {
-	out := make([]expr.Box, len(g.queries))
 	tables := map[string]bool{}
-	for i, rel := range g.rep.Relations {
-		if mask&(1<<uint(i)) != 0 {
-			tables[rel.Table] = true
-		}
+	for _, t := range maskTables(g.rep, mask) {
+		tables[t] = true
 	}
-	for qi := range g.queries {
+	out := g.queryBoxesBase()
+	for qi, box := range out {
 		var preds []expr.Pred
-		for _, p := range g.queryBoxBase(qi) {
+		for _, p := range box {
 			if tables[p.Col.Table] {
 				preds = append(preds, p)
 			}
@@ -192,65 +181,32 @@ func (g *groupExec) aliasBoxes(boxes []expr.Box) []expr.Box {
 	return out
 }
 
-// computeNeeded unions the needed columns of every query in the group:
-// join keys, selects, group-bys, aggregate arguments and all selection
-// attributes (mandatory in shared plans — re-tagging needs them).
-func (g *groupExec) computeNeeded() {
-	set := map[string]map[string]bool{}
-	add := func(table, col string) {
-		if set[table] == nil {
-			set[table] = map[string]bool{}
-		}
-		set[table][col] = true
-	}
-	addRef := func(q *plan.Query, ref storage.ColRef) {
-		if rel := q.RelByAlias(ref.Table); rel != nil {
-			add(rel.Table, ref.Column)
-		}
-	}
+// computeNeeded unions, per representative alias, the columns every
+// query of the group needs. The planner runs benefit-oriented, so every
+// selection attribute is included: mandatory in shared plans, because
+// re-tagging evaluates them.
+func (g *groupExec) computeNeeded(planner *Optimizer) {
+	byTable := map[string][]string{}
 	for _, q := range g.queries {
-		for _, j := range q.Joins {
-			addRef(q, j.Left)
-			addRef(q, j.Right)
-		}
-		for _, s := range q.Select {
-			addRef(q, s)
-		}
-		for _, gb := range q.GroupBy {
-			addRef(q, gb)
-		}
-		for _, a := range q.Aggs {
-			if a.Arg != nil {
-				a.Arg.Walk(func(r storage.ColRef) { addRef(q, r) })
-			}
-		}
-		for _, p := range q.Filter {
-			addRef(q, p.Col)
+		for alias, cols := range planner.neededCols(q) {
+			table := q.RelByAlias(alias).Table
+			byTable[table] = append(byTable[table], cols...)
 		}
 	}
 	g.needed = map[string][]string{}
 	for _, rel := range g.rep.Relations {
-		cols := make([]string, 0, len(set[rel.Table]))
-		for c := range set[rel.Table] {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		if len(cols) == 0 {
-			tbl := g.s.Single.Cat.Table(rel.Table)
-			if tbl != nil && len(tbl.Cols) > 0 {
-				cols = []string{tbl.Cols[0].Name}
-			}
-		}
-		g.needed[rel.Alias] = cols
+		cols := byTable[rel.Table]
+		slices.Sort(cols)
+		g.needed[rel.Alias] = slices.Compact(cols)
 	}
 }
 
 // compileStream lowers the borrowed join tree into shared pipelines.
-func (g *groupExec) compileStream(n *optimizer.Node) (exec.Source, []exec.Transform, storage.Schema, error) {
+func (g *groupExec) compileStream(n *Node) (exec.Source, []exec.Transform, storage.Schema, error) {
 	if n.IsScan() {
 		rel := g.rep.Relations[n.RelIdx]
 		boxes := g.aliasBoxes(g.relBoxes(1 << uint(n.RelIdx)))
-		src, err := exec.NewSharedScan(g.s.Single.Cat.Table(rel.Table), rel.Alias, boxes, g.needed[rel.Alias])
+		src, err := exec.NewSharedScan(g.o.Cat.Table(rel.Table), rel.Alias, boxes, g.needed[rel.Alias])
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -278,84 +234,21 @@ func (g *groupExec) compileStream(n *optimizer.Node) (exec.Source, []exec.Transf
 	return src, tfs, probe.OutSchema(), nil
 }
 
-// sharedLayout builds the layout of a shared join table for a build
-// mask: key columns, needed payload columns, then the qid tag.
-func (g *groupExec) sharedLayout(n *optimizer.Node) (hashtable.Layout, error) {
-	keysBase := baseRefs(g.rep, n.BuildKeys)
-	var cols []storage.ColMeta
-	seen := map[storage.ColRef]bool{}
-	add := func(ref storage.ColRef) error {
-		if seen[ref] {
-			return nil
-		}
-		seen[ref] = true
-		kind, err := g.s.Single.Cat.Resolve(ref.Table, ref.Column)
-		if err != nil {
-			return err
-		}
-		cols = append(cols, storage.ColMeta{Ref: ref, Kind: kind})
-		return nil
-	}
-	nKeys := 0
-	for _, k := range keysBase {
-		if !seen[k] {
-			nKeys++
-		}
-		if err := add(k); err != nil {
-			return hashtable.Layout{}, err
-		}
-	}
-	for i, rel := range g.rep.Relations {
-		if n.BuildMask&(1<<uint(i)) == 0 {
-			continue
-		}
-		for _, c := range g.needed[rel.Alias] {
-			if err := add(storage.ColRef{Table: rel.Table, Column: c}); err != nil {
-				return hashtable.Layout{}, err
-			}
-		}
-	}
-	cols = append(cols, storage.ColMeta{Ref: exec.QidRef(), Kind: types.Int64})
-	return hashtable.Layout{Cols: cols, KeyCols: nKeys}, nil
-}
-
 // obtainSharedJoinHT reuses a cached qid-tagged table (after re-tagging)
 // or builds a fresh one from a shared sub-stream.
-func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []int, []storage.ColRef, int, error) {
-	cache := g.s.Single.Cache
-	keysBase := baseRefs(g.rep, n.BuildKeys)
+func (g *groupExec) obtainSharedJoinHT(n *Node) (*hashtable.Table, []int, []storage.ColRef, int, error) {
+	keysBase := baseQualifyRefs(g.rep, n.BuildKeys)
 	probeLin := htcache.Lineage{
 		Kind:    htcache.SharedJoinBuild,
 		JoinSig: g.rep.SubgraphSignature(n.BuildMask),
 		KeyCols: keysBase,
 	}
 	relBoxes := g.relBoxes(n.BuildMask)
+	required := g.o.requiredBuildCols(g.rep, n.BuildMask, g.needed)
 
-	var ht *hashtable.Table
-	qidCol := -1
-	for _, cand := range cache.Candidates(probeLin) {
-		snap := cand.Current()
-		if !g.sharedCandidateUsable(snap, cand.Lineage.QidCol, n, relBoxes) {
-			continue
-		}
-		// Re-tag a private widened copy: the qid masks of this batch are
-		// batch-local, so the published snapshot stays untouched (and the
-		// copy is simply dropped after the batch — no publication).
-		widened := snap.HT.Widen()
-		if err := exec.ReTag(widened, cand.Lineage.QidCol, relBoxes); err != nil {
-			continue
-		}
-		cache.Pin(cand)
-		g.pinned = append(g.pinned, cand)
-		g.retagged = append(g.retagged, widened)
-		ht = widened
-		qidCol = cand.Lineage.QidCol
-		g.reused++
-		break
-	}
-
+	ht, qidCol := g.retagCached(probeLin, relBoxes, required)
 	if ht == nil {
-		layout, err := g.sharedLayout(n)
+		layout, err := g.o.newLayout(keysBase, required, true)
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
@@ -365,15 +258,7 @@ func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []i
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
-		feed := make([]storage.ColRef, len(layout.Cols))
-		for i, m := range layout.Cols {
-			if m.Ref == exec.QidRef() {
-				feed[i] = exec.QidRef()
-				continue
-			}
-			feed[i] = storage.ColRef{Table: g.aliasOf(m.Ref.Table), Column: m.Ref.Column}
-		}
-		sink, err := exec.NewBuildHT(ht, bschema, feed)
+		sink, err := exec.NewBuildHT(ht, bschema, buildFeed(g.rep, layout))
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
@@ -382,64 +267,54 @@ func (g *groupExec) obtainSharedJoinHT(n *optimizer.Node) (*hashtable.Table, []i
 		// exactly expressible — lineage must never overclaim.
 		if hull, ok := boxesUnion(relBoxes); ok {
 			lin := probeLin
-			lin.Tables = maskTableNames(g.rep, n.BuildMask)
+			lin.Tables = maskTables(g.rep, n.BuildMask)
 			lin.Filter = hull
 			lin.QidCol = qidCol
-			g.created = append(g.created, cache.Register(ht, lin))
+			g.created = append(g.created, g.o.Cache.Register(ht, lin))
 		}
 	}
 
 	// Probe emits every needed build-side column (base refs → rep alias).
-	layout := ht.Layout()
-	var emitCols []int
-	var emitRefs []storage.ColRef
-	for i, rel := range g.rep.Relations {
-		if n.BuildMask&(1<<uint(i)) == 0 {
-			continue
-		}
-		for _, c := range g.needed[rel.Alias] {
-			ref := storage.ColRef{Table: rel.Table, Column: c}
-			ci := layout.ColIndex(ref)
-			if ci < 0 {
-				return nil, nil, nil, 0, fmt.Errorf("shared: column %v missing from shared table", ref)
-			}
-			emitCols = append(emitCols, ci)
-			emitRefs = append(emitRefs, storage.ColRef{Table: rel.Alias, Column: c})
-		}
+	emitCols, emitRefs, err := probeEmits(g.rep, ht.Layout(), required)
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
 	return ht, emitCols, emitRefs, qidCol, nil
 }
 
-// sharedCandidateUsable checks content and layout sufficiency against
-// one resolved snapshot: the cached table must be qid-tagged, hold a
-// superset of every query's needed rows, store every needed payload
-// column, and store every predicate column (for re-tagging).
-func (g *groupExec) sharedCandidateUsable(snap *htcache.Snapshot, qidCol int, n *optimizer.Node, relBoxes []expr.Box) bool {
-	if qidCol < 0 || snap == nil || snap.HT == nil {
-		return false
-	}
-	layout := snap.HT.Layout()
-	for _, b := range relBoxes {
-		if !snap.Filter.Covers(b) {
-			return false
+// retagCached looks for a cached qid-tagged table matching probeLin
+// whose content covers every box and whose layout stores the required
+// columns plus every predicate column (re-tagging evaluates them). The
+// hit is re-tagged in a private widened copy: the batch's qid masks are
+// batch-local and install as an overlay, so the published snapshot
+// stays untouched and the copy is dropped after the batch. It returns
+// the copy and its qid column, or nil when no candidate is usable.
+func (g *groupExec) retagCached(probeLin htcache.Lineage, boxes []expr.Box, required []storage.ColRef) (*hashtable.Table, int) {
+	cache := g.o.Cache
+	for _, cand := range cache.Candidates(probeLin) {
+		qidCol := cand.Lineage.QidCol
+		snap := cand.Current()
+		if qidCol < 0 || snap == nil || snap.HT == nil {
+			continue // untagged, or demoted since Candidates listed it
 		}
-		for _, p := range b {
-			if layout.ColIndex(p.Col) < 0 {
-				return false
-			}
+		layout := snap.HT.Layout()
+		usable := layoutHasCols(layout, required)
+		for _, b := range boxes {
+			usable = usable && snap.Filter.Covers(b) && boxColsInLayout(layout, b)
 		}
-	}
-	for i, rel := range g.rep.Relations {
-		if n.BuildMask&(1<<uint(i)) == 0 {
+		if !usable {
 			continue
 		}
-		for _, c := range g.needed[rel.Alias] {
-			if layout.ColIndex(storage.ColRef{Table: rel.Table, Column: c}) < 0 {
-				return false
-			}
+		widened := snap.HT.Widen()
+		if err := exec.ReTag(widened, qidCol, boxes); err != nil {
+			continue
 		}
+		cache.Pin(cand)
+		g.pinned = append(g.pinned, cand)
+		g.retagged = append(g.retagged, widened)
+		return widened, qidCol
 	}
-	return true
+	return nil, -1
 }
 
 // boxesUnion folds boxes pairwise with unionIfBox semantics.
@@ -456,26 +331,4 @@ func boxesUnion(boxes []expr.Box) (expr.Box, bool) {
 		hull = h
 	}
 	return hull, true
-}
-
-func maskTableNames(q *plan.Query, mask int) []string {
-	var out []string
-	for i, rel := range q.Relations {
-		if mask&(1<<uint(i)) != 0 {
-			out = append(out, rel.Table)
-		}
-	}
-	return out
-}
-
-func baseRefs(q *plan.Query, refs []storage.ColRef) []storage.ColRef {
-	out := make([]storage.ColRef, len(refs))
-	for i, r := range refs {
-		table := r.Table
-		if rel := q.RelByAlias(r.Table); rel != nil {
-			table = rel.Table
-		}
-		out[i] = storage.ColRef{Table: table, Column: r.Column}
-	}
-	return out
 }

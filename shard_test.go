@@ -134,7 +134,7 @@ func assertSameRows(t *testing.T, label string, got, want *Result) {
 // shard (degenerate layout) and four. Each query runs twice so the
 // second run exercises per-shard reuse of the cached artifacts.
 func TestShardedGoldenEquivalence(t *testing.T) {
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	for _, shards := range testShardCounts(t) {
 		db := openShardedTPCH(t, shards)
 		if got := db.Shards(); got != shards {
@@ -361,7 +361,7 @@ func TestShardedPostHocPartition(t *testing.T) {
 	if err := db.LoadTPCH(0.002); err != nil {
 		t.Fatal(err)
 	}
-	ref := openTPCH(t, WithEngine(EngineNoReuse))
+	ref := openTPCH(t, WithStrategy(NeverReuse))
 	sql := `SELECT c.c_age, COUNT(*) AS n FROM customer c WHERE c.c_custkey = 11 GROUP BY c.c_age`
 
 	// Replicated-only queries run on shard 0.
